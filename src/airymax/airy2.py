@@ -365,27 +365,36 @@ def _normalization(grid):
 def marginal_w(w, grid):
     """P(w) = int P(s, w) ds over the grid plus the large-s analytic tail.
 
-    Off-grid w is handled by a fresh transport of f(., +-w); on-grid columns
-    reuse the cached tables.
+    w is a scalar (returns a float) or a 1-d array (returns an array).
+    On-grid columns reuse the cached tables; every off-grid +-w shares one
+    fresh transport, whose columns are independent of each other.
     """
     if grid.quadrature_meta.get("s_step", 1.0) > 0.05 + 1e-12:
         raise ResolutionError("marginal accuracy requires s_step <= 0.05")
-    j = int(np.argmin(np.abs(grid.w_grid - w)))
-    if abs(grid.w_grid[j] - w) <= 1e-9:
-        core = simpson(grid.values[:, j], x=grid.s_grid)
-    else:
+    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
+    j = np.abs(grid.w_grid[None, :] - w_arr[:, None]).argmin(axis=1)
+    on = np.abs(grid.w_grid[j] - w_arr) <= 1e-9
+    core = np.empty(len(w_arr))
+    core[on] = simpson(grid.values[:, j[on]], x=grid.s_grid, axis=0)
+    off = w_arr[~on]
+    if len(off):
         if grid.painleve is None:
-            raise RangeError(f"w = {w} not on the grid and no solver attached")
+            raise RangeError(f"w = {off[0]} not on the grid and no solver attached")
         sol = grid.painleve
-        prof = transport_profile([w, -w], sol, s_lo=grid.s_grid[0] - 0.5)
-        suffix = _suffix_integrals(prof.f[:, 0], prof.f[:, 1], prof.s_grid) \
-            + _tail_product(w)
+        prof = transport_profile(np.concatenate([off, -off]), sol, s_lo=grid.s_grid[0] - 0.5)
         idx = np.searchsorted(prof.s_grid, grid.s_grid - 1e-9)
-        pcol = JOINT_PREFACTOR * np.exp(log_tracy_widom_f1(grid.s_grid, sol)) * suffix[idx]
-        core = simpson(pcol, x=grid.s_grid)
+        f1 = np.exp(log_tracy_widom_f1(grid.s_grid, sol))
+        n_off = len(off)
+        core_off = []
+        for i, wi in enumerate(off):
+            suffix = _suffix_integrals(prof.f[:, i], prof.f[:, n_off + i], prof.s_grid) \
+                + _tail_product(wi)
+            core_off.append(simpson(JOINT_PREFACTOR * f1 * suffix[idx], x=grid.s_grid))
+        core[~on] = core_off
     s_tail = np.linspace(grid.s_grid[-1], grid.s_grid[-1] + 10.0, 801)
-    tail = simpson(joint_pdf_large_s(s_tail, abs(w)), x=s_tail)
-    return float(core + tail)
+    tail = [simpson(joint_pdf_large_s(s_tail, abs(wi)), x=s_tail) for wi in w_arr]
+    out = core + np.array(tail)
+    return float(out[0]) if np.ndim(w) == 0 else out
 
 
 def airy2_jpdf(m, t, psi, sol=None, grid=None):

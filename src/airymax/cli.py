@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import airy2, fredholm, mc
-from .errors import AirymaxError
+from .errors import DomainError
 from .finite_n import cdf_max_finite_n, jpdf_finite_n, large_deviation_eval
 from .lax import build_psi_grid, default_zeta_rule
 from .painleve import solve_hastings_mcleod, tracy_widom_f1
@@ -54,9 +54,9 @@ def _solution():
 
 
 def cmd_tw_f1(args):
-    sol = _solution()
     if args.s_min >= args.s_max or args.step <= 0:
-        raise ValueError("need s_min < s_max and step > 0")
+        raise DomainError("need s_min < s_max and step > 0")
+    sol = _solution()
     s = np.round(np.arange(args.s_min, args.s_max + args.step / 2, args.step), 12)
     pl = tracy_widom_f1(s, sol)
     fr = np.array([fredholm.f1_fredholm(v) for v in s])
@@ -94,9 +94,9 @@ def cmd_marginal(args):
     sol = _solution()
     grid = airy2.build_joint_density_grid(sol, w_max=max(args.w_max, 4.25))
     ws = np.round(np.arange(0.0, args.w_max + args.w_step / 2, args.w_step), 12)
-    pw = np.array([airy2.marginal_w(w, grid) for w in ws])
+    pw = airy2.marginal_w(ws, grid)
     fit = np.arange(2.5, 4.001, 0.25)
-    pf = np.array([airy2.marginal_w(w, grid) for w in fit])
+    pf = airy2.marginal_w(fit, grid)
     slope = float(np.polyfit(fit ** 3, -np.log(pf), 1)[0])
     rows = list(zip(ws, pw))
     _emit(args, ["w", "marginal_density"], rows,
@@ -283,13 +283,11 @@ def main(argv=None):
     try:
         _validate_common(args)
         return args.fn(args)
-    except (ValueError, AirymaxError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _cleanup_partial(args)
-        if isinstance(exc, ValueError) or "outside" in str(exc) or "required" in str(exc):
-            return EXIT_USAGE
-        return EXIT_COMPUTE
-    except Exception as exc:  # computation failure
+        return EXIT_USAGE
+    except Exception as exc:  # computation failure, whatever its type
         print(f"computation failed: {exc}", file=sys.stderr)
         _cleanup_partial(args)
         return EXIT_COMPUTE
@@ -298,7 +296,7 @@ def main(argv=None):
 def _validate_common(args):
     for attr, lo in (("steps", 2000), ("samples", 1), ("walkers", 1)):
         if hasattr(args, attr) and getattr(args, attr) < lo:
-            raise ValueError(f"{attr} must be >= {lo}")
+            raise DomainError(f"{attr} must be >= {lo}")
 
 
 def _cleanup_partial(args):

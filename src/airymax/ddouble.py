@@ -3,9 +3,8 @@
 A value is represented as an unevaluated sum hi + lo with |lo| <= ulp(hi)/2,
 giving roughly 31 significant decimal digits.  All routines are elementwise
 and broadcast like ordinary numpy ufuncs; scalars work too.  Used where a
-summation cancels beyond what 53-bit floats can resolve (Airy Maclaurin
-series at moderate |x|, the alternating finite-N sums in the evanescent
-regime).
+summation cancels beyond what 53-bit floats can resolve (the alternating
+finite-N sums in the evanescent regime).
 """
 
 import numpy as np

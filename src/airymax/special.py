@@ -1,144 +1,37 @@
 """Scalar special functions and reusable quadrature primitives.
 
-Airy Ai and Ai' are evaluated in-repo: a Maclaurin series accumulated in
-double-double arithmetic for |x| <= 9 (the series cancels up to ~8 digits
-near the switch point, which dd absorbs), and the standard asymptotic
-expansions beyond.  Both branches overlap near |x| = 9 to ~1e-13, which the
-test suite checks explicitly.
+Airy Ai and Ai' come from `scipy.special.airy`.  Against mpmath at 40 digits
+(scipy 1.17) its absolute error is at most 7.7e-15 for Ai and 1.3e-14 for
+Ai' at 3001 equispaced points of |x| <= 15, and its relative error at most
+1.5e-13 at 841 points of 16 <= x <= 100.  Ai underflows to 0 beyond
+x ~ 104.  scipy returns NaN for non-finite x and for x < -2**20; both raise
+DomainError here.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import airy as _scipy_airy
 
-from . import ddouble as dd
 from .errors import DomainError, IntegrandEvaluationError, MisconfigurationError, \
     TailRegularizationError, UnsupportedDegreeError
 
-# dd splits of Ai(0) = 3^{-2/3}/Gamma(2/3) and Ai'(0) = -3^{-1/3}/Gamma(1/3)
-_AI0 = (0.3550280538878172, 2.05233632436212e-17)
-_AIP0 = (-0.2588194037928068, 2.522243111610832e-17)
-
-_SERIES_CUT = 9.0
-_SERIES_TERMS = 100
-
-# asymptotic coefficients u_k and d_k = -(6k+1)/(6k-1) u_k
-_UK = np.zeros(41)
-_UK[0] = 1.0
-for _k in range(40):
-    _UK[_k + 1] = _UK[_k] * (6 * _k + 1) * (6 * _k + 3) * (6 * _k + 5) / (216.0 * (_k + 1) * (2 * _k + 1))
-_DK = -_UK * (6 * np.arange(41) + 1) / (6 * np.arange(41) - 1)
-
-
-def _maclaurin_dd(x):
-    """Ai, Ai' via the entire-series pair f, g in dd arithmetic."""
-    x = np.asarray(x, dtype=float)
-    x3h, x3l = dd.mul(*dd.mul(*dd.dd(x), *dd.dd(x)), *dd.dd(x))
-
-    fh, fl = dd.dd(np.ones_like(x))          # f = sum a_k x^{3k}
-    gh, gl = dd.dd(x)                        # g = sum b_k x^{3k+1}
-    fph, fpl = dd.dd(np.zeros_like(x))       # f' (starts at k=1)
-    gph, gpl = dd.dd(np.ones_like(x))        # g' = sum b_k (3k+1) x^{3k}
-
-    tfh, tfl = dd.dd(np.ones_like(x))
-    tgh, tgl = dd.dd(x)
-    tph, tpl = dd.mul_d(*dd.mul(*dd.dd(x), *dd.dd(x)), 0.5)   # f' first term x^2/2
-    tqh, tql = dd.dd(np.ones_like(x))
-
-    fph, fpl = dd.add(fph, fpl, tph, tpl)
-    for k in range(1, _SERIES_TERMS):
-        tfh, tfl = dd.div_d(*dd.mul(tfh, tfl, x3h, x3l), (3 * k) * (3 * k - 1))
-        fh, fl = dd.add(fh, fl, tfh, tfl)
-        tgh, tgl = dd.div_d(*dd.mul(tgh, tgl, x3h, x3l), (3 * k) * (3 * k + 1))
-        gh, gl = dd.add(gh, gl, tgh, tgl)
-        if k >= 2:
-            tph, tpl = dd.div_d(*dd.mul(tph, tpl, x3h, x3l), 3 * (k - 1) * (3 * k - 1))
-            fph, fpl = dd.add(fph, fpl, tph, tpl)
-        tqh, tql = dd.div_d(*dd.mul(tqh, tql, x3h, x3l), (3 * k) * (3 * k - 2))
-        gph, gpl = dd.add(gph, gpl, tqh, tql)
-
-    c1h, c1l = _AI0
-    c2h, c2l = _AIP0
-    aih, ail = dd.add(*dd.mul(fh, fl, c1h, c1l), *dd.mul(gh, gl, c2h, c2l))
-    aph, apl = dd.add(*dd.mul(fph, fpl, c1h, c1l), *dd.mul(gph, gpl, c2h, c2l))
-    return dd.to_float(aih, ail), dd.to_float(aph, apl)
-
-
-def _asymptotic(x):
-    """Ai, Ai' for |x| > _SERIES_CUT via Poincare expansions."""
-    x = np.asarray(x, dtype=float)
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-
-    pos = x > 0
-    if np.any(pos):
-        xp = x[pos]
-        xi = (2.0 / 3.0) * xp ** 1.5
-        sa = np.zeros_like(xp)
-        sb = np.zeros_like(xp)
-        term = np.ones_like(xp)
-        # xi >= 18 here, so the smallest term ~ e^{-2 xi} <= 2e-16 near k = 2 xi
-        for k in range(0, 37):
-            sa += (-1.0) ** k * _UK[k] * term
-            sb += (-1.0) ** k * _DK[k] * term
-            term = term / xi
-        pref = np.exp(-xi) / (2.0 * np.sqrt(np.pi))
-        ai[pos] = pref * sa / xp ** 0.25
-        aip[pos] = -pref * sb * xp ** 0.25
-    if np.any(~pos):
-        xn = -x[~pos]
-        xi = (2.0 / 3.0) * xn ** 1.5
-        ph = xi + np.pi / 4.0
-        ce = np.zeros_like(xn)
-        co = np.zeros_like(xn)
-        de = np.zeros_like(xn)
-        do = np.zeros_like(xn)
-        i2 = 1.0 / (xi * xi)
-        terme = np.ones_like(xn)
-        for k in range(0, 19):
-            ce += (-1.0) ** k * _UK[2 * k] * terme
-            de += (-1.0) ** k * _DK[2 * k] * terme
-            co += (-1.0) ** k * _UK[2 * k + 1] * terme / xi
-            do += (-1.0) ** k * _DK[2 * k + 1] * terme / xi
-            terme = terme * i2
-        pref = 1.0 / (np.sqrt(np.pi) * xn ** 0.25)
-        ai[~pos] = pref * (np.sin(ph) * ce - np.cos(ph) * co)
-        aip[~pos] = -(xn ** 0.25 / np.sqrt(np.pi)) * (np.cos(ph) * de + np.sin(ph) * do)
-    return ai, aip
-
 
 def _airy_pair(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("airy_ai requires finite input")
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    near = np.abs(x) <= _SERIES_CUT
-    if np.any(near):
-        a, b = _maclaurin_dd(x[near])
-        ai[near] = a
-        aip[near] = b
-    far = ~near
-    if np.any(far):
-        big = x[far] > 106.0   # e^{-xi} underflows; value < 1e-322
-        a, b = _asymptotic(np.where(big, 106.0, x[far]))
-        ai[far] = np.where(big, 0.0, a)
-        aip[far] = np.where(big, 0.0, b)
+    ai, aip, _, _ = _scipy_airy(np.asarray(x, dtype=float))
+    if not (np.all(np.isfinite(ai)) and np.all(np.isfinite(aip))):
+        raise DomainError("Ai and Ai' need finite x >= -2**20")
     return ai, aip
 
 
 def airy_ai(x):
     """Airy function Ai(x) for real x (scalar or array)."""
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    a, _ = _airy_pair(np.atleast_1d(x))
-    return float(a[0]) if scalar else a.reshape(np.shape(x))
+    return _airy_pair(x)[0]
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x) for real x (scalar or array)."""
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    _, b = _airy_pair(np.atleast_1d(x))
-    return float(b[0]) if scalar else b.reshape(np.shape(x))
+    return _airy_pair(x)[1]
 
 
 def airy_both(x):

@@ -76,6 +76,19 @@ def test_marginal_symmetry(joint_grid):
             airy2.marginal_w(-w, joint_grid), rel=1e-12)
 
 
+def test_marginal_array_matches_pointwise(joint_grid, monkeypatch):
+    ws = np.array([0.5, 2.75, -3.25, 3.0, 3.75, -1.0])   # on- and off-grid
+    pointwise = np.array([airy2.marginal_w(w, joint_grid) for w in ws])
+    calls = []
+    transport = airy2.transport_profile
+    monkeypatch.setattr(airy2, "transport_profile",
+                        lambda w, *a, **k: calls.append(len(w)) or transport(w, *a, **k))
+    batched = airy2.marginal_w(ws, joint_grid)
+    assert calls == [6]   # one transport for the three off-grid +-w pairs
+    assert batched.shape == ws.shape
+    assert np.all(np.abs(batched - pointwise) <= 1e-13 * np.abs(pointwise))
+
+
 def test_marginal_normalization(joint_grid):
     from scipy.integrate import simpson
     ws = joint_grid.w_grid

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from airymax import cli
 from airymax.cli import main
+from airymax.errors import AirymaxError, SolverFailureError
 
 
 def test_tw_f1_row_count_and_discrepancy(tmp_path):
@@ -66,3 +68,19 @@ def test_validate_subset(tmp_path):
     doc = json.load(open(out))
     assert doc["data"][0]["index"] == 2
     assert doc["data"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("exc", [
+    ValueError("autodetected range of [nan, nan] is not finite"),
+    SolverFailureError(1.0),
+    AirymaxError("value outside the certified window; more nodes required"),
+])
+def test_compute_fault_exit_code(tmp_path, monkeypatch, exc):
+    # only DomainError is a usage error; the message text does not matter
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "large_deviation_eval", fail)
+    out = tmp_path / "ldev.csv"
+    assert main(["ldev", "-o", str(out), "--c-step", "0.5", "--u-step", "0.4"]) == 2
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ def test_airy_relative_accuracy_far_right(x):
 
 
 def test_airy_switch_point_overlap():
-    # series and asymptotic branches agree across the internal switch
+    # accuracy probes near |x| = 9; the evaluation has no internal switch there
     for x in [8.97, 9.03, -8.97, -9.03]:
         ai_ref, _ = airy_reference(x)
         assert abs(special.airy_ai(x) - ai_ref) < 1e-13
@@ -58,6 +60,34 @@ def test_airy_ode_residual():
 def test_airy_domain_error():
     with pytest.raises(DomainError):
         special.airy_ai(np.nan)
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, -2.0 ** 21])
+def test_airy_domain_error_beyond_finite_range(x):
+    for fn in (special.airy_ai, special.airy_ai_prime, special.airy_both):
+        with pytest.raises(DomainError):
+            fn(x)
+
+
+def test_airy_both_keeps_shape():
+    x = np.linspace(-14.0, 14.0, 80).reshape(8, 10)
+    ai, aip = special.airy_both(x)
+    assert ai.shape == aip.shape == x.shape
+    assert np.array_equal(ai, [[special.airy_ai(v) for v in row] for row in x])
+    assert np.array_equal(aip, [[special.airy_ai_prime(v) for v in row] for row in x])
+    assert special.airy_ai(x).shape == special.airy_ai_prime(x).shape == x.shape
+
+
+def test_airy_scalar_in_scalar_out():
+    for value in (special.airy_ai(1.5), special.airy_ai_prime(1.5), *special.airy_both(1.5)):
+        assert isinstance(value, float) and np.ndim(value) == 0
+
+
+def test_airy_underflow_is_silent_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert special.airy_ai(200.0) == 0.0
+        assert special.airy_ai_prime(200.0) == 0.0
 
 
 def test_hermite_values():
