@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .errors import DomainError, RangeError, ResolutionError, TailRegularizationError
+from .errors import (DomainError, MisconfigurationError, RangeError, ResolutionError,
+                     TailRegularizationError)
 from .lax import psi_at_s
 from .painleve import log_tracy_widom_f1, tracy_widom_f1
 from .special import airy_both, gauss_legendre_rule, neville_at_zero
@@ -272,19 +273,30 @@ def _inner_product_integral(s, w, sol, profile_pair=None):
     return inner
 
 
-def joint_pdf(s, w, psi, sol=None, profile_pair=None):
-    """P(s, w) = (pi^2 / 2^{20/3}) F1(s) int_s^infty f(x, w) f(x, -w) dx."""
-    sol = sol or psi.painleve
+def _painleve(psi, sol):
+    if sol is not None:
+        return sol
+    if psi is None:
+        raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
+    return psi.painleve
+
+
+def joint_pdf(s, w, psi=None, sol=None, profile_pair=None):
+    """P(s, w) = (pi^2 / 2^{20/3}) F1(s) int_s^infty f(x, w) f(x, -w) dx.
+
+    Reads only the Hastings-McLeod solution: sol, or else psi.painleve.
+    """
+    sol = _painleve(psi, sol)
     if abs(w) > W_CAP:
         raise DomainError(f"|w| <= {W_CAP} required")
     inner = _inner_product_integral(s, w, sol, profile_pair)
     return float(JOINT_PREFACTOR * tracy_widom_f1(s, sol) * inner)
 
 
-def joint_pdf_h_form(s, w, psi, sol=None, profile_pair=None):
+def joint_pdf_h_form(s, w, psi=None, sol=None, profile_pair=None):
     """Same density via the h formulation (4/pi^2) F1 int h h; exercised by
     the identity tests."""
-    sol = sol or psi.painleve
+    sol = _painleve(psi, sol)
     inner = H_FROM_F ** 2 * _inner_product_integral(s, w, sol, profile_pair)
     return float(4.0 / np.pi ** 2 * tracy_widom_f1(s, sol) * inner)
 
@@ -315,9 +327,17 @@ class JointDensityGrid:
     painleve: object = field(repr=False, default=None, compare=False)
 
     def pdf(self, s, w):
-        i = int(np.argmin(np.abs(self.s_grid - s)))
-        j = int(np.argmin(np.abs(self.w_grid - w)))
-        return float(self.values[i, j])
+        """Value at the nearest grid node; RangeError more than half a step
+        outside the grid."""
+        return float(self.values[_nearest_node(self.s_grid, s, "s"),
+                                 _nearest_node(self.w_grid, w, "w")])
+
+
+def _nearest_node(grid, x, name):
+    half = 0.5 * (grid[1] - grid[0]) if len(grid) > 1 else 0.0
+    if not grid[0] - half <= x <= grid[-1] + half:
+        raise RangeError(f"{name} = {x} outside the grid [{grid[0]}, {grid[-1]}]")
+    return int(np.argmin(np.abs(grid - x)))
 
 
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
@@ -397,9 +417,10 @@ def marginal_w(w, grid):
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
-def airy2_jpdf(m, t, psi, sol=None, grid=None):
+def airy2_jpdf(m, t, psi=None, sol=None, grid=None):
     """Joint density of (max, argmax) of the Airy2 process minus a parabola:
-    hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t)."""
+    hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t), from grid if given, else from
+    joint_pdf with sol (or psi.painleve)."""
     resc = AiryRescaling()
     s, w = resc.alpha * m, resc.beta * t
     if grid is not None:

@@ -14,7 +14,6 @@ import numpy as np
 from . import airy2, fredholm, mc
 from .errors import DomainError
 from .finite_n import cdf_max_finite_n, jpdf_finite_n, large_deviation_eval
-from .lax import build_psi_grid, default_zeta_rule
 from .painleve import solve_hastings_mcleod, tracy_widom_f1
 
 SCHEMA_VERSION = 1
@@ -108,10 +107,9 @@ def cmd_marginal(args):
 
 def cmd_airy2(args):
     sol = _solution()
-    psi = build_psi_grid(default_zeta_rule(), sol)
     rows = []
     for (m, t) in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.5, -0.5), (1.0, 0.0)]:
-        ours = airy2.airy2_jpdf(m, t, psi)
+        ours = airy2.airy2_jpdf(m, t, sol=sol)
         oracle = fredholm.mfqr_jpdf(m, t)
         rows.append((m, t, ours, oracle, abs(ours - oracle)))
     _emit(args, ["m", "t", "density", "resolvent_oracle", "abs_diff"], rows, {

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleConfigurationError, StatisticsError
+from .errors import DomainError, InfeasibleConfigurationError, PrecisionError, StatisticsError
 
 DUMP_MAGIC = b"AMCE"
 DUMP_VERSION = 1
@@ -284,7 +284,7 @@ def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
         try:
             if log_cdf_max(m_try, N) > -40.0:
                 break
-        except Exception:
+        except (DomainError, PrecisionError):
             continue
         m_lo = m_try
     t_quad, w_quad = np.polynomial.legendre.leggauss(n_m)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import airy2, fredholm, mc
+from .errors import DomainError, PrecisionError
 from .finite_n import (ScalingCoordinates, build_op_table, cdf_max_finite_n,
                        double_scaling_check, f1_scaling_function, g_closed_form,
                        g_function, g_function_vector, g_plancherel_rotach,
@@ -190,11 +191,11 @@ def criterion_6_mfqr(ctx):
 def criterion_7_tails(ctx):
     grid = ctx["grid"]
     ws = np.arange(2.5, 4.001, 0.25)
-    pw = np.array([airy2.marginal_w(w, grid) for w in ws])
+    pw = airy2.marginal_w(ws, grid)
     coef = np.polyfit(ws ** 3, -np.log(pw), 1)[0]
     ratio_w = coef * 12.0
     ts = np.arange(1.0, 1.6001, 0.1)
-    pt = np.array([airy2.argmax_marginal(t, grid) for t in ts])
+    pt = airy2.argmax_marginal(ts, grid)
     coef_t = np.polyfit(ts ** 3, -np.log(pt), 1)[0]
     ratio_t = coef_t / (4.0 / 3.0)
     ok = abs(ratio_w - 1.0) <= 0.15 and abs(ratio_t - 1.0) <= 0.15
@@ -227,7 +228,7 @@ def _normalization_finite_n(N, n_m=72, n_tau=72, u_half=0.496):
         try:
             if log_cdf_max(m_try, N) > -38.0:
                 break
-        except Exception:
+        except (DomainError, PrecisionError):
             continue
         m_lo = m_try
     tm, wm = np.polynomial.legendre.leggauss(n_m)

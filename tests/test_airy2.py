@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airymax import airy2
-from airymax.errors import DomainError
+from airymax.errors import DomainError, MisconfigurationError, RangeError
 from airymax.special import airy_ai_prime
 
 
@@ -99,7 +99,7 @@ def test_marginal_normalization(joint_grid):
 
 def test_marginal_tail_slope(joint_grid):
     ws = np.arange(2.5, 4.001, 0.25)
-    pw = np.array([airy2.marginal_w(w, joint_grid) for w in ws])
+    pw = airy2.marginal_w(ws, joint_grid)
     slope = np.polyfit(ws ** 3, -np.log(pw), 1)[0]
     assert 0.85 / 12.0 <= slope <= 1.15 / 12.0
 
@@ -118,7 +118,7 @@ def test_airy2_jpdf_symmetry_in_t(psi):
 
 def test_argmax_marginal_tail(joint_grid):
     ts = np.arange(1.0, 1.6001, 0.1)
-    pt = np.array([airy2.argmax_marginal(t, joint_grid) for t in ts])
+    pt = airy2.argmax_marginal(ts, joint_grid)
     slope = np.polyfit(ts ** 3, -np.log(pt), 1)[0]
     assert abs(slope / (4.0 / 3.0) - 1.0) <= 0.15
 
@@ -153,3 +153,22 @@ def test_tail_constants(sol, joint_grid):
 def test_tail_envelope_band(sol, joint_grid):
     const, report = airy2.tail_analysis(sol, joint_grid)
     assert all(0.5 <= r <= 2.0 for r in report.values())
+
+
+def test_joint_density_grid_pdf_range():
+    s_grid = np.linspace(-2.0, 2.0, 41)
+    w_grid = np.linspace(-1.0, 1.0, 21)
+    values = np.add.outer(s_grid, 10.0 * w_grid)
+    grid = airy2.JointDensityGrid(s_grid=s_grid, w_grid=w_grid, values=values, f_cache={})
+    assert grid.pdf(0.52, -0.31) == values[25, 7]
+    assert grid.pdf(2.04, 1.04) == values[-1, -1]      # within half a step
+    for s, w in [(50.0, 5.0), (2.06, 0.0), (0.0, -1.06), (np.nan, 0.0)]:
+        with pytest.raises(RangeError):
+            grid.pdf(s, w)
+
+
+def test_joint_pdf_needs_a_solution():
+    with pytest.raises(MisconfigurationError):
+        airy2.joint_pdf(0.0, 0.5)
+    with pytest.raises(MisconfigurationError):
+        airy2.airy2_jpdf(0.0, 0.5)

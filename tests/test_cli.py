@@ -84,3 +84,17 @@ def test_compute_fault_exit_code(tmp_path, monkeypatch, exc):
     out = tmp_path / "ldev.csv"
     assert main(["ldev", "-o", str(out), "--c-step", "0.5", "--u-step", "0.4"]) == 2
     assert not out.exists()
+
+
+def test_airy2_builds_no_psi_grid(tmp_path, monkeypatch):
+    # the density reads only the Hastings-McLeod solution; no psi sweep runs
+    def fail(*args, **kwargs):
+        raise AssertionError("psi sweep called")
+
+    monkeypatch.setattr("airymax.lax.solve_psi_column", fail)
+    out = tmp_path / "airy2.csv"
+    assert main(["airy2", "-o", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 6
+    assert max(float(r[4]) for r in rows[1:]) <= 1e-3

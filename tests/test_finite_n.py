@@ -10,6 +10,8 @@ from airymax.errors import DomainError, PrecisionError
 from airymax.oracles import brute_force_jpdf
 from airymax.special import airy_ai
 
+from _oracles import RECURRENCE_30_904, stieltjes_mp
+
 
 def test_h0_asymptotic():
     model = fn.build_op_table(10.0, 4)
@@ -20,6 +22,30 @@ def test_h0_asymptotic():
 def test_recursion_coefficient_asymptotic():
     gam = fn.recurrence_table(20.0, 4)
     assert gam[3] ** 2 == pytest.approx(3.0 * (20.0 / math.pi) ** 2, rel=1e-10)
+
+
+def test_recurrence_table_past_double_range():
+    # at degree ~M^2 the wave functions reach |n| ~ 600, where the half weight
+    # exp(-pi^2 n^2/(4 M^2)) is below the double range; plain doubles are off
+    # by 2-4 % at k >= 800
+    gam = fn.recurrence_table(30.0, 904)
+    for k, ref in RECURRENCE_30_904.items():
+        assert gam[k] == pytest.approx(ref, rel=1e-13)
+
+
+def test_recurrence_table_matches_mp_oracle():
+    M, deg = 10.0, 120
+    n_max = max(fn.suggested_n_max(M, deg), int(math.ceil(0.66 * deg + 60.0)))
+    ref = stieltjes_mp(M, deg, n_max)
+    gam = fn.recurrence_table(M, deg)
+    assert np.all(np.abs(gam[1:] / ref[1:] - 1.0) <= 1e-13)
+
+
+def test_recurrence_table_refuses_unstable_degrees():
+    # past ~M^2 + 3M the Stieltjes recursion loses orthogonality in doubles
+    # (at M = 10 the gammas are off by O(1) from degree ~150)
+    with pytest.raises(PrecisionError):
+        fn.recurrence_table(10.0, 200)
 
 
 def test_odd_wavefunction_vanishes_at_origin():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airymax import mc
+from airymax import finite_n, mc, validation
 from airymax.errors import DomainError, InfeasibleConfigurationError, StatisticsError
 
 
@@ -135,3 +135,23 @@ def test_empty_ensemble_stats():
                           acceptance_rate=0.0)
     with pytest.raises(StatisticsError):
         mc.extreme_stats(ens)
+
+
+@pytest.mark.parametrize("module, scan", [
+    (finite_n, lambda: mc.exact_marginals(2)),
+    (validation, lambda: validation._normalization_finite_n(2)),
+])
+def test_m_lo_scan_propagates_unexpected_errors(monkeypatch, module, scan):
+    # the scan for the lower M limit skips only DomainError and PrecisionError
+    calls = []
+    real = finite_n.log_cdf_max
+
+    def first_call_fails(M, N, model=None):
+        calls.append(M)
+        if len(calls) == 1:
+            raise ValueError("injected")
+        return real(M, N, model=model)
+
+    monkeypatch.setattr(module, "log_cdf_max", first_call_fails)
+    with pytest.raises(ValueError, match="injected"):
+        scan()
