@@ -6,15 +6,13 @@ import os
 
 import numpy as np
 
-from airymax import (airy2, build_joint_density_grid, build_psi_grid,
-                     default_zeta_rule, f1_fredholm, solve_hastings_mcleod,
-                     tracy_widom_f1)
+from airymax import (airy2, build_joint_density_grid, f1_fredholm,
+                     solve_hastings_mcleod, tracy_widom_f1)
 
 
 def main():
     os.makedirs("out", exist_ok=True)
     sol = solve_hastings_mcleod()
-    psi = build_psi_grid(default_zeta_rule(), sol)
     grid = build_joint_density_grid(sol)
 
     s = np.round(np.arange(-6.0, 4.001, 0.05), 10)
@@ -24,10 +22,11 @@ def main():
             fh.write(f"{v},{tracy_widom_f1(v, sol):.17g},{f1_fredholm(v):.17g}\n")
 
     t = np.round(np.arange(0.0, 1.8001, 0.05), 10)
+    density = airy2.argmax_marginal(t, grid)
     with open("out/endpoint_marginal.csv", "w") as fh:
         fh.write("t,density\n")
-        for v in t:
-            fh.write(f"{v},{airy2.argmax_marginal(v, grid):.17g}\n")
+        for v, d in zip(t, density):
+            fh.write(f"{v},{d:.17g}\n")
 
     with open("out/joint_density_slices.csv", "w") as fh:
         fh.write("s,w,density\n")

@@ -16,8 +16,8 @@ from .finite_n import (FiniteNModel, LargeDeviationPoint, ScalingCoordinates,
                        build_op_table, cdf_max_finite_n, double_scaling_check,
                        g_closed_form, g_function, g_plancherel_rotach,
                        jpdf_finite_n, large_deviation_eval, recurrence_table)
-from .lax import (PsiGrid, build_psi_grid, default_zeta_rule, load_psi_grid,
-                  psi_at_s, save_psi_grid, solve_psi_column)
+from .lax import (PsiGrid, build_psi_grid, default_zeta_rule, psi_at_s,
+                  solve_psi_column)
 from .mc import (PathEnsemble, compare_to_exact, exact_marginals, extreme_stats,
                  ks_statistic, load_ensemble, sample_ensemble, save_ensemble)
 from .painleve import (PainleveSolution, left_tail_log_f1, log_tracy_widom_f1,

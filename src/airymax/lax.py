@@ -6,15 +6,16 @@ Two independent constructions, cross-checked in the tests:
   downward from s_max where Psi = (cos, -sin)(4 zeta^3/3 + s zeta); the
   neglected corrections there are O(integral of q beyond s_max) ~ 1e-13.
 * zeta-direction: dPsi/dzeta = A Psi seeded at zeta = 0 with the exact value
-  Psi(0, s) = (exp(-int_s^inf q), 0).
+  Psi(0, s) = (exp(-int_s^inf q), 0).  Every step of this sweep is known
+  before it starts, so it runs as a prefix product of 2x2 step matrices
+  (a doubling scan in array operations, no loop over nodes); the
+  reassociated product agrees with the step-by-step sweep to ~4e-14.
 
 Both matrices live in the span of sigma3, J = [[0,1],[-1,0]], S = [[0,1],[1,0]],
 which is closed under commutators, so every Magnus step exponentiates in
 closed form (cos/cosh of a single scalar).
 """
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,6 @@ from .errors import IntegrationFailureError, MisconfigurationError, RangeError
 from .special import QuadratureRule, oscillatory_rule
 
 _SQ3_12 = np.sqrt(3.0) / 12.0
-
-CACHE_MAGIC = b"APSI"
-CACHE_VERSION = 1
 
 
 def _pauli_apply(a, b, c, u1, u2):
@@ -93,6 +91,15 @@ def psi_at_s(s_values, zeta_nodes, sol, phase_per_step=0.3):
 
     Seeds with the exact zeta = 0 value (exp(-int_s^inf q), 0) and returns
     (phi1, phi2) of shape (n_nodes, n_s) at the requested zeta nodes.
+
+    Each node is reached by nsub Magnus-Gauss2 sub-steps.  Every step's
+    coefficients are known before the sweep, so the sub-step sequence and
+    the closed-form step matrices are built as arrays, and their prefix
+    products come from a Hillis-Steele doubling scan (M[d:] <- M[d:] M[:-d]
+    for d = 1, 2, 4, ...) over the four matrix components.  The product at
+    each node's last sub-step is applied to the seed.  The s columns are
+    swept one at a time: every array is one (n_steps,) vector, which bounds
+    the working set whatever the number of s values.
     """
     sarr = np.atleast_1d(np.asarray(s_values, dtype=float))
     zeta_nodes = np.asarray(zeta_nodes, dtype=float)
@@ -102,38 +109,64 @@ def psi_at_s(s_values, zeta_nodes, sol, phase_per_step=0.3):
     r = sol.q_prime_at(sarr)
     q2 = q * q
     smax_abs = float(np.max(np.abs(sarr)))
-    u1 = np.exp(-sol.integral_q(sarr))
-    u2 = np.zeros_like(u1)
+    u0 = np.exp(-sol.integral_q(sarr))
     g = np.sqrt(3.0) / 6.0
+
+    prev = np.concatenate(([0.0], zeta_nodes[:-1]))
+    gap = zeta_nodes - prev
+    nsub = np.maximum(np.ceil(gap * (4.0 * zeta_nodes * zeta_nodes + smax_abs + 2.0) / phase_per_step),
+                      np.ceil(gap / 0.02))
+    nsub = np.maximum(nsub, 1).astype(np.int64)
+    last = np.cumsum(nsub) - 1
+    hh = np.repeat(gap / nsub, nsub)
+    k = np.arange(len(hh)) - np.repeat(last + 1 - nsub, nsub)
+    z0 = np.repeat(prev, nsub) + k * hh
+    t1 = z0 + hh * (0.5 - g)
+    t2 = z0 + hh * (0.5 + g)
+    f = _SQ3_12 * hh * hh
+
     out1 = np.empty((len(zeta_nodes), len(sarr)))
-    out2 = np.empty((len(zeta_nodes), len(sarr)))
-    cur = 0.0
-    for i, zt in enumerate(zeta_nodes):
-        gap = zt - cur
-        nsub = max(1, int(np.ceil(gap * (4.0 * zt * zt + smax_abs + 2.0) / phase_per_step)),
-                   int(np.ceil(gap / 0.02)))
-        hh = gap / nsub
-        for k in range(nsub):
-            z0 = cur + k * hh
-            t1 = z0 + hh * (0.5 - g)
-            t2 = z0 + hh * (0.5 + g)
-            pa1, pa2 = 4.0 * t1 * q, 4.0 * t2 * q
-            qb1 = 4.0 * t1 * t1 + sarr + 2.0 * q2
-            qb2 = 4.0 * t2 * t2 + sarr + 2.0 * q2
-            rc = 2.0 * r
-            a = 0.5 * hh * (pa1 + pa2)
-            b = 0.5 * hh * (qb1 + qb2)
-            c = 0.5 * hh * (rc + rc)
-            f = _SQ3_12 * hh * hh
-            a += f * 2.0 * (qb2 * rc - qb1 * rc)
-            b += f * 2.0 * (pa2 * rc - pa1 * rc)
-            c += f * 2.0 * (pa2 * qb1 - pa1 * qb2)
-            try:
-                u1, u2 = _pauli_apply(a, b, c, u1, u2)
-            except FloatingPointError as exc:
-                raise IntegrationFailureError(z0) from exc
-        cur = zt
-        out1[i], out2[i] = u1, u2
+    out2 = np.empty_like(out1)
+    fail = len(z0)
+    for j, s in enumerate(sarr):
+        pa1, pa2 = 4.0 * t1 * q[j], 4.0 * t2 * q[j]
+        qb1 = 4.0 * t1 * t1 + s + 2.0 * q2[j]
+        qb2 = 4.0 * t2 * t2 + s + 2.0 * q2[j]
+        rc = 2.0 * r[j]
+        a = 0.5 * hh * (pa1 + pa2)
+        b = 0.5 * hh * (qb1 + qb2)
+        c = 0.5 * hh * (rc + rc)
+        a += f * 2.0 * (qb2 * rc - qb1 * rc)
+        b += f * 2.0 * (pa2 * rc - pa1 * rc)
+        c += f * 2.0 * (pa2 * qb1 - pa1 * qb2)
+        try:
+            w1, w2 = _pauli_apply(a[:, None], b[:, None], c[:, None],
+                                  np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        except FloatingPointError:
+            # locate the first step whose cosh (>= its sinh) overflowed
+            with np.errstate(over="ignore"):
+                over = np.isinf(np.cosh(np.sqrt(np.maximum(a * a + c * c - b * b, 0.0))))
+            fail = min(fail, int(np.argmax(over)))
+            continue
+        m11, m12 = np.ascontiguousarray(w1.T)
+        m21, m22 = np.ascontiguousarray(w2.T)
+        d = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while d < len(z0):
+                n11 = m11[d:] * m11[:-d] + m12[d:] * m21[:-d]
+                n12 = m11[d:] * m12[:-d] + m12[d:] * m22[:-d]
+                n21 = m21[d:] * m11[:-d] + m22[d:] * m21[:-d]
+                n22 = m21[d:] * m12[:-d] + m22[d:] * m22[:-d]
+                m11[d:], m12[d:], m21[d:], m22[d:] = n11, n12, n21, n22
+                d *= 2
+        finite = np.isfinite(m11) & np.isfinite(m12) & np.isfinite(m21) & np.isfinite(m22)
+        if not finite.all():
+            fail = min(fail, int(np.argmin(finite)))
+            continue
+        out1[:, j] = m11[last] * u0[j]
+        out2[:, j] = m21[last] * u0[j]
+    if fail < len(z0):
+        raise IntegrationFailureError(z0[fail])
     return out1, out2
 
 
@@ -193,44 +226,3 @@ def build_psi_grid(rule, sol, s_step=0.05, integration_step=0.005):
 
 def default_zeta_rule(zeta_max=18.0, s_ref=12.0):
     return oscillatory_rule(zeta_max, freq_offset=s_ref)
-
-
-def grid_cache_key(grid):
-    h = hashlib.sha256()
-    for arr in (grid.zeta_nodes, grid.s_grid):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(struct.pack("<d", grid.tolerance))
-    return h.hexdigest()[:16]
-
-
-def save_psi_grid(grid, path):
-    """Versioned binary cache: header + little-endian f8 arrays."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", CACHE_VERSION))
-        fh.write(struct.pack("<QQ", len(grid.zeta_nodes), len(grid.s_grid)))
-        fh.write(struct.pack("<dd", grid.zeta_max, grid.tolerance))
-        for arr in (grid.zeta_nodes, grid.zeta_weights, grid.s_grid,
-                    grid.phi1.ravel(), grid.phi2.ravel()):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_psi_grid(path, sol):
-    with open(path, "rb") as fh:
-        if fh.read(4) != CACHE_MAGIC:
-            raise MisconfigurationError("not a psi-grid cache file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CACHE_VERSION:
-            raise MisconfigurationError(f"unsupported cache version {version}")
-        nz, ns = struct.unpack("<QQ", fh.read(16))
-        zeta_max, tol = struct.unpack("<dd", fh.read(16))
-        def arr(count):
-            return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
-        nodes = arr(nz)
-        weights = arr(nz)
-        s_grid = arr(ns)
-        phi1 = arr(nz * ns).reshape(nz, ns)
-        phi2 = arr(nz * ns).reshape(nz, ns)
-    return PsiGrid(zeta_nodes=nodes, zeta_weights=weights, s_grid=s_grid,
-                   phi1=phi1, phi2=phi2, painleve=sol, zeta_max=zeta_max,
-                   tolerance=tol)

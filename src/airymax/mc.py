@@ -198,8 +198,9 @@ def sample_ensemble(N, steps, n_samples, seed, method="auto", max_attempt_factor
     """Draw n_samples (M, tau_M) pairs of the top path; see module docstring.
 
     method: "auto" picks cycle-shift for N = 1 and the matrix realization for
-    N in {2, 3}; "rejection" forces whole-tuple rejection (N <= 4) and raises
-    the documented infeasibility error when acceptance collapses.
+    N in {2, 3}; it has no sampler for N = 4 and raises the infeasibility
+    error at entry.  "rejection" forces whole-tuple rejection (N <= 4) and
+    raises that error when acceptance collapses.
     """
     if not 1 <= N <= 4:
         raise DomainError("supported walker counts are 1 <= N <= 4")
@@ -208,7 +209,11 @@ def sample_ensemble(N, steps, n_samples, seed, method="auto", max_attempt_factor
     if method not in ("auto", "rejection", "matrix"):
         raise DomainError(f"unknown method {method!r}")
     if method == "auto":
-        method = "rejection" if N == 1 else ("matrix" if N <= 3 else "rejection")
+        if N == 4:
+            raise InfeasibleConfigurationError(
+                "no sampler for N = 4 under method='auto': whole-tuple rejection "
+                "accepts almost nothing; pass method='rejection' to attempt it")
+        method = "rejection" if N == 1 else "matrix"
     if method == "matrix" and not 2 <= N <= 3:
         raise DomainError("matrix realization implemented for N in {2, 3}")
     if method == "matrix":
@@ -387,15 +392,22 @@ def save_ensemble(ensemble, path):
         fh.write(np.ascontiguousarray(ensemble.samples, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, count):
+    raw = fh.read(count)
+    if len(raw) != count:
+        raise DomainError(f"truncated ensemble dump: {len(raw)} of {count} bytes")
+    return raw
+
+
 def load_ensemble(path):
     with open(path, "rb") as fh:
         if fh.read(4) != DUMP_MAGIC:
             raise DomainError("not an ensemble dump")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != DUMP_VERSION:
             raise DomainError(f"unsupported dump version {version}")
-        N, steps, n = struct.unpack("<IIQ", fh.read(16))
-        seed, rate, attempts = struct.unpack("<QdQ", fh.read(24))
-        samples = np.frombuffer(fh.read(16 * n), dtype="<f8").reshape(n, 2).astype(float)
+        N, steps, n = struct.unpack("<IIQ", _read_exact(fh, 16))
+        seed, rate, attempts = struct.unpack("<QdQ", _read_exact(fh, 24))
+        samples = np.frombuffer(_read_exact(fh, 16 * n), dtype="<f8").reshape(n, 2).astype(float)
     return PathEnsemble(N=N, steps=steps, samples=samples, seed=seed,
                         acceptance_rate=rate, attempts=attempts)

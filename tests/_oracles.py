@@ -3,6 +3,9 @@
 import mpmath as mp
 import numpy as np
 
+from airymax.errors import IntegrationFailureError, MisconfigurationError
+from airymax.lax import _SQ3_12, _pauli_apply
+
 
 def airy_reference(x, dps=40):
     """(Ai, Ai') by mpmath at high precision."""
@@ -99,3 +102,55 @@ def stieltjes_mp(M, deg_max, n_max, dps=30):
 # uses: gamma_k at the degrees where plain doubles lose the wave-function tails
 RECURRENCE_30_904 = {700: 252.65063960867545, 800: 270.0948948471318,
                      900: 303.7739505395585, 904: 314.26059581732284}
+
+
+def psi_at_s_sequential(s_values, zeta_nodes, sol, phase_per_step=0.3):
+    """Integrate the zeta-ODE outward from zeta = 0 at fixed s (batched).
+
+    The sequential node-by-node, sub-step-by-sub-step sweep that
+    airymax.lax.psi_at_s reorders into a prefix product of step matrices.
+
+    Seeds with the exact zeta = 0 value (exp(-int_s^inf q), 0) and returns
+    (phi1, phi2) of shape (n_nodes, n_s) at the requested zeta nodes.
+    """
+    sarr = np.atleast_1d(np.asarray(s_values, dtype=float))
+    zeta_nodes = np.asarray(zeta_nodes, dtype=float)
+    if np.any(zeta_nodes <= 0) or np.any(np.diff(zeta_nodes) <= 0):
+        raise MisconfigurationError("zeta nodes must be positive and increasing")
+    q = sol.q_at(sarr)
+    r = sol.q_prime_at(sarr)
+    q2 = q * q
+    smax_abs = float(np.max(np.abs(sarr)))
+    u1 = np.exp(-sol.integral_q(sarr))
+    u2 = np.zeros_like(u1)
+    g = np.sqrt(3.0) / 6.0
+    out1 = np.empty((len(zeta_nodes), len(sarr)))
+    out2 = np.empty((len(zeta_nodes), len(sarr)))
+    cur = 0.0
+    for i, zt in enumerate(zeta_nodes):
+        gap = zt - cur
+        nsub = max(1, int(np.ceil(gap * (4.0 * zt * zt + smax_abs + 2.0) / phase_per_step)),
+                   int(np.ceil(gap / 0.02)))
+        hh = gap / nsub
+        for k in range(nsub):
+            z0 = cur + k * hh
+            t1 = z0 + hh * (0.5 - g)
+            t2 = z0 + hh * (0.5 + g)
+            pa1, pa2 = 4.0 * t1 * q, 4.0 * t2 * q
+            qb1 = 4.0 * t1 * t1 + sarr + 2.0 * q2
+            qb2 = 4.0 * t2 * t2 + sarr + 2.0 * q2
+            rc = 2.0 * r
+            a = 0.5 * hh * (pa1 + pa2)
+            b = 0.5 * hh * (qb1 + qb2)
+            c = 0.5 * hh * (rc + rc)
+            f = _SQ3_12 * hh * hh
+            a += f * 2.0 * (qb2 * rc - qb1 * rc)
+            b += f * 2.0 * (pa2 * rc - pa1 * rc)
+            c += f * 2.0 * (pa2 * qb1 - pa1 * qb2)
+            try:
+                u1, u2 = _pauli_apply(a, b, c, u1, u2)
+            except FloatingPointError as exc:
+                raise IntegrationFailureError(z0) from exc
+        cur = zt
+        out1[i], out2[i] = u1, u2
+    return out1, out2

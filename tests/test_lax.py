@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from airymax import lax
-from airymax.errors import MisconfigurationError, RangeError
-from airymax.special import oscillatory_rule
+from airymax.errors import IntegrationFailureError, RangeError
+
+from _oracles import psi_at_s_sequential
 
 
 class _ZeroPotential:
@@ -19,6 +20,20 @@ class _ZeroPotential:
 
     def integral_q(self, s):
         return np.zeros_like(np.asarray(s, dtype=float))
+
+
+class _HugePotential(_ZeroPotential):
+    """Test hook: q forced to 1e5, so the zeta-step exponential overflows."""
+
+    def q_at(self, s):
+        return np.full_like(np.asarray(s, dtype=float), 1e5)
+
+
+class _SteepPotential(_ZeroPotential):
+    """Test hook: q' forced to 1e3, so the product of zeta-steps overflows."""
+
+    def q_prime_at(self, s):
+        return np.full_like(np.asarray(s, dtype=float), 1e3)
 
 
 def test_zero_potential_preserves_norm():
@@ -122,20 +137,6 @@ def test_phase_advance_at_large_s(sol):
     assert abs(d - (-1.0) * np.cos(phase)) <= 1e-3
 
 
-def test_cache_roundtrip(tmp_path, psi, sol):
-    path = str(tmp_path / "psi.bin")
-    lax.save_psi_grid(psi, path)
-    loaded = lax.load_psi_grid(path, sol)
-    assert np.array_equal(loaded.phi1, psi.phi1)
-    assert np.array_equal(loaded.phi2, psi.phi2)
-    assert np.array_equal(loaded.zeta_nodes, psi.zeta_nodes)
-    with pytest.raises(MisconfigurationError):
-        bad = str(tmp_path / "junk.bin")
-        with open(bad, "wb") as fh:
-            fh.write(b"nope")
-        lax.load_psi_grid(bad, sol)
-
-
 def test_negative_zeta_rejected(sol):
     with pytest.raises(RangeError):
         lax.solve_psi_column(np.array([-1.0]), sol)
@@ -146,3 +147,40 @@ def test_grid_query_guards(psi):
         psi.phi_at(0.123456789, psi.s_grid[0])
     with pytest.raises(RangeError):
         psi.column_at(psi.s_grid[0] + 0.001)
+
+
+@pytest.mark.parametrize("s_values", [[0.4], [-10.5], [-10.5, -3.0, 0.0, 12.0]])
+def test_psi_at_s_matches_sequential_sweep(sol, s_values):
+    # the prefix-product scan reorders the products of the step-by-step
+    # sweep; the batch case shares smax_abs, and so the sub-steps, across s
+    nodes = lax.default_zeta_rule().nodes[:2000]
+    p1, p2 = lax.psi_at_s(np.array(s_values), nodes, sol)
+    o1, o2 = psi_at_s_sequential(np.array(s_values), nodes, sol)
+    assert p1.shape == o1.shape == (2000, len(s_values))
+    assert np.max(np.abs(p1 - o1)) <= 1e-12
+    assert np.max(np.abs(p2 - o2)) <= 1e-12
+
+
+def test_psi_at_s_overflow_is_typed():
+    # the step exponential overflows; both sweeps name the same first step
+    nodes = lax.default_zeta_rule().nodes[:2000]
+    locations = []
+    for sweep in (lax.psi_at_s, psi_at_s_sequential):
+        with pytest.raises(IntegrationFailureError) as info:
+            sweep(np.array([0.0, 1.0]), nodes, _HugePotential())
+        locations.append(info.value.location)
+    assert locations[0] == locations[1]
+
+
+def test_psi_at_s_nonfinite_product_is_typed():
+    # every step is finite but their product overflows: the step-by-step
+    # sweep returns inf/nan from the first node past the overflow, the scan
+    # raises with a location inside that node's interval
+    nodes = lax.default_zeta_rule().nodes[:2000]
+    with np.errstate(over="ignore", invalid="ignore"):
+        o1, o2 = psi_at_s_sequential(np.array([0.0]), nodes, _SteepPotential())
+    first_bad = int(np.argmin(np.isfinite(o1[:, 0]) & np.isfinite(o2[:, 0])))
+    assert first_bad > 0
+    with pytest.raises(IntegrationFailureError) as info:
+        lax.psi_at_s(np.array([0.0]), nodes, _SteepPotential())
+    assert nodes[first_bad - 1] <= info.value.location < nodes[first_bad]

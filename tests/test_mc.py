@@ -112,6 +112,15 @@ def test_rejection_mode_infeasible_for_shared_endpoints():
                            max_attempt_factor=50)
 
 
+def test_auto_method_refuses_four_walkers_at_entry(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sample_ensemble drew paths for N = 4")
+
+    monkeypatch.setattr(mc, "_excursions_for_attempt", no_draws)
+    with pytest.raises(InfeasibleConfigurationError, match="method='rejection'"):
+        mc.sample_ensemble(4, 2000, 10, seed=1)
+
+
 def test_parameter_guards():
     with pytest.raises(DomainError):
         mc.sample_ensemble(5, 2000, 10, seed=1)
@@ -128,6 +137,17 @@ def test_dump_roundtrip(tmp_path):
     loaded = mc.load_ensemble(path)
     assert loaded.N == 2 and loaded.steps == 2000 and loaded.seed == 55
     assert np.array_equal(loaded.samples, ens.samples)
+
+
+@pytest.mark.parametrize("keep", [-8, 20])
+def test_truncated_dump_is_typed(tmp_path, keep):
+    # cut inside the samples, then inside the header
+    ens = mc.sample_ensemble(1, 2000, 20, seed=5)
+    path = tmp_path / "ens.bin"
+    mc.save_ensemble(ens, str(path))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(DomainError, match="truncated"):
+        mc.load_ensemble(str(path))
 
 
 def test_empty_ensemble_stats():
