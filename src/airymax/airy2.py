@@ -15,6 +15,12 @@ downward integration of the third-order ODE in s seeded at s = 12 from the
 closed Airy form, where the psi-function corrections are ~1e-12.  The two
 routes are cross-checked in the tests; grid-heavy consumers use the ODE
 transport, pointwise f_function uses the quadrature wherever it is certified.
+
+The transport is classical RK4.  The ODE is linear, so each step is a 3x3
+matrix per column that is known before the sweep: the step matrices are
+built as arrays, and the states are their prefix products (a doubling scan
+within fixed chunks of steps) applied to the seed.  The tests keep the
+step-by-step loop as an oracle.
 """
 
 from dataclasses import dataclass, field
@@ -155,10 +161,69 @@ class FProfile:
         return self.f[:, j]
 
     def value(self, s, w):
-        j = int(np.argmin(np.abs(self.w_values - w)))
-        if abs(self.w_values[j] - w) > 1e-12:
-            raise RangeError(f"w = {w} not in the transported set")
-        return float(np.interp(s, self.s_grid, self.f[:, j]))
+        """f(s, w) interpolated linearly in s; RangeError outside the
+        transported range."""
+        if not self.s_grid[0] <= s <= self.s_grid[-1]:
+            raise RangeError(f"s = {s} outside the transported range "
+                             f"[{self.s_grid[0]}, {self.s_grid[-1]}]")
+        return float(np.interp(s, self.s_grid, self.column(w)))
+
+
+_CHUNK = 64                 # steps per doubling scan; fixed, so no column depends on the others
+_GROUP_ELEMENTS = 2 ** 14   # per matrix component of the chunks scanned together
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _companion_times(c, m):
+    """A m for A = [[0, 1, 0], [0, 0, 1], [c0, c1, c2]] and m a row-major
+    3x3 matrix given as its nine components."""
+    c0, c1, c2 = c
+    return (*m[3:], *(c0 * m[j] + c1 * m[3 + j] + c2 * m[6 + j] for j in range(3)))
+
+
+def _rk4_step_matrices(ca, cb, cc, h):
+    """Components of I + (h/6)(K1 + 2 K2 + 2 K3 + K4), the classical RK4 step
+    of Y' = A Y, from A's coefficients at the start, middle and end of each
+    step: K1 = A_a, K2 = A_b (I + h K1/2), K3 = A_b (I + h K2/2),
+    K4 = A_c (I + h K3)."""
+    k1 = (0.0, 1.0, 0.0, 0.0, 0.0, 1.0, *ca)
+    k2 = _companion_times(cb, [e + 0.5 * h * k for e, k in zip(_EYE, k1)])
+    k3 = _companion_times(cb, [e + 0.5 * h * k for e, k in zip(_EYE, k2)])
+    k4 = _companion_times(cc, [e + h * k for e, k in zip(_EYE, k3)])
+    return [e + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for e, a, b, c, d in zip(_EYE, k1, k2, k3, k4)]
+
+
+def _chunk_prefix_products(steps):
+    """Prefix products S_j ... S_1 within consecutive chunks of _CHUNK steps.
+
+    steps holds the nine components of the step matrices, each broadcastable
+    to (n_steps, n_cols).  Returns an array (9, n_chunks, _CHUNK, n_cols); the
+    last chunk is padded with identities.  The products come from a
+    Hillis-Steele doubling scan, M[d:] <- M[d:] M[:-d] for d = 1, 2, 4, ...
+    """
+    n_steps, n_cols = np.broadcast_shapes(*(np.shape(c) for c in steps))
+    n_chunks = -(-n_steps // _CHUNK)
+    m = np.empty((9, n_chunks * _CHUNK, n_cols))
+    m[:, n_steps:] = np.array(_EYE)[:, None, None]
+    for i, comp in enumerate(steps):
+        m[i, :n_steps] = comp
+    m = m.reshape(9, n_chunks, _CHUNK, n_cols)
+    new = np.empty_like(m)
+    tmp = np.empty_like(m[0])
+    d = 1
+    while d < _CHUNK:
+        a, b, t = m[:, :, d:], m[:, :, :-d], tmp[:, d:]
+        for r in range(3):
+            for j in range(3):
+                out = new[3 * r + j, :, d:]
+                np.multiply(a[3 * r], b[j], out=out)
+                out += np.multiply(a[3 * r + 1], b[3 + j], out=t)
+                out += np.multiply(a[3 * r + 2], b[6 + j], out=t)
+        new[:, :, :d] = m[:, :, :d]
+        m, new = new, m
+        d *= 2
+    return m
 
 
 def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
@@ -168,45 +233,59 @@ def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
     with u = q^2 - q'; seeding uses the closed Airy form, exact to ~1e-12
     at s_hi = 12.  Downward integration is stable: the wanted solution is
     the fastest-growing one in that direction.
+
+    The scheme is classical RK4 on Y = (f, f_s, f_ss).  The equation is
+    linear, so every step is a fixed 3x3 matrix per column, known before the
+    sweep.  The step matrices are built as arrays, their prefix products
+    within chunks of _CHUNK steps come from a doubling scan, and the state
+    is carried from one chunk to the next.  Every operation is elementwise
+    in the columns and the chunking is fixed, so each column's values are
+    bitwise independent of the other columns in the call.
     """
     w_arr = np.atleast_1d(np.asarray(w_values, dtype=float))
     if np.any(np.abs(w_arr) > W_CAP):
         raise DomainError(f"|w| capped at {W_CAP}")
     n = int(round((s_hi - s_lo) / step))
     h = -(s_hi - s_lo) / n
-    s_desc = s_hi + h * np.arange(n + 1)
     half = s_hi + 0.5 * h * np.arange(2 * n + 1)
     U = sol.potential(half)
     Up = sol.potential_prime(half)
+    # f''' = c0 f + c1 f' + c2 f''
+    c0_base = (3.0 * Up + 2.0) / 4.0
+    c1 = (6.0 * U + half) / 4.0
+    c2 = w_arr / 2.0
+
+    def coef(i):
+        return c0_base[i, None] - 0.5 * U[i, None] * w_arr, c1[i, None], c2
 
     Y = np.empty((3, len(w_arr)))
     for i, w in enumerate(w_arr):
         a0, a1, a2 = f_closed(np.array([s_hi]), w, derivatives=2)
         Y[0, i], Y[1, i], Y[2, i] = a0[0], a1[0], a2[0]
 
-    out_f = np.empty((n + 1, len(w_arr)))
-    out_fs = np.empty_like(out_f)
-    out_fss = np.empty_like(out_f)
-    out_f[0], out_fs[0], out_fss[0] = Y
+    out = np.empty((3, n + 1, len(w_arr)))     # ascending s
+    desc = out[:, ::-1]
+    desc[:, 0] = Y
+    # chunks are scanned a group at a time, which keeps the working set in
+    # cache; the grouping does not change any column's arithmetic
+    span = _CHUNK * max(1, _GROUP_ELEMENTS // (_CHUNK * len(w_arr)))
+    for k0 in range(0, n, span):
+        k1 = min(k0 + span, n)
+        i = 2 * np.arange(k0, k1)
+        P = _chunk_prefix_products(_rk4_step_matrices(coef(i), coef(i + 1), coef(i + 2), h))
+        starts = np.empty((3, P.shape[1], len(w_arr)))
+        for c in range(P.shape[1]):
+            starts[:, c] = Y
+            e = P[:, c, -1]
+            Y = np.array([e[3 * r] * Y[0] + e[3 * r + 1] * Y[1] + e[3 * r + 2] * Y[2]
+                          for r in range(3)])
+        for r in range(3):
+            states = (P[3 * r] * starts[0, :, None] + P[3 * r + 1] * starts[1, :, None]
+                      + P[3 * r + 2] * starts[2, :, None])
+            desc[r, k0 + 1:k1 + 1] = states.reshape(-1, len(w_arr))[:k1 - k0]
 
-    def rhs(idx, Y):
-        u, up, sv = U[idx], Up[idx], half[idx]
-        y, y1, y2 = Y
-        y3 = (2.0 * w_arr * y2 + y1 * (6.0 * u + sv) + y * (3.0 * up + 2.0 - 2.0 * w_arr * u)) / 4.0
-        return np.array([y1, y2, y3])
-
-    for k in range(n):
-        i0 = 2 * k
-        k1 = rhs(i0, Y)
-        k2 = rhs(i0 + 1, Y + 0.5 * h * k1)
-        k3 = rhs(i0 + 1, Y + 0.5 * h * k2)
-        k4 = rhs(i0 + 2, Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out_f[k + 1], out_fs[k + 1], out_fss[k + 1] = Y
-
-    return FProfile(s_grid=s_desc[::-1].copy(), w_values=w_arr,
-                    f=out_f[::-1].copy(), f_s=out_fs[::-1].copy(),
-                    f_ss=out_fss[::-1].copy())
+    return FProfile(s_grid=(s_hi + h * np.arange(n + 1))[::-1].copy(), w_values=w_arr,
+                    f=out[0], f_s=out[1], f_ss=out[2])
 
 
 def _quad_certified(s, w):
@@ -241,11 +320,6 @@ def f_function(s, w, psi, with_error=False):
     return (val, err) if with_error else val
 
 
-def h_function(s, w, psi):
-    """h(s, w) = -(pi^2/2^{13/3}) f(s, w)."""
-    return H_FROM_F * f_function(s, w, psi)
-
-
 def _tail_product(w, x_hi=26.0):
     """int_{S_SEED}^{x_hi} f_closed(x, w) f_closed(x, -w) dx (analytic tail)."""
     x = np.linspace(S_SEED, x_hi, 1401)
@@ -273,12 +347,19 @@ def _inner_product_integral(s, w, sol, profile_pair=None):
     return inner
 
 
-def _painleve(psi, sol):
-    if sol is not None:
-        return sol
-    if psi is None:
-        raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
-    return psi.painleve
+def _painleve_at(s, w, psi, sol):
+    """The Hastings-McLeod solution (sol, or else psi.painleve), after
+    checking (s, w) at entry: F1 needs s <= s_max - 2, the transport starts
+    0.25 below s, and |w| <= W_CAP."""
+    if sol is None:
+        if psi is None:
+            raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
+        sol = psi.painleve
+    if not abs(w) <= W_CAP:
+        raise DomainError(f"|w| <= {W_CAP} required")
+    if not sol.s_min + 0.25 <= s <= sol.s_max - 2.0:
+        raise RangeError(f"s = {s} outside [{sol.s_min + 0.25}, {sol.s_max - 2.0}]")
+    return sol
 
 
 def joint_pdf(s, w, psi=None, sol=None, profile_pair=None):
@@ -286,9 +367,7 @@ def joint_pdf(s, w, psi=None, sol=None, profile_pair=None):
 
     Reads only the Hastings-McLeod solution: sol, or else psi.painleve.
     """
-    sol = _painleve(psi, sol)
-    if abs(w) > W_CAP:
-        raise DomainError(f"|w| <= {W_CAP} required")
+    sol = _painleve_at(s, w, psi, sol)
     inner = _inner_product_integral(s, w, sol, profile_pair)
     return float(JOINT_PREFACTOR * tracy_widom_f1(s, sol) * inner)
 
@@ -296,7 +375,7 @@ def joint_pdf(s, w, psi=None, sol=None, profile_pair=None):
 def joint_pdf_h_form(s, w, psi=None, sol=None, profile_pair=None):
     """Same density via the h formulation (4/pi^2) F1 int h h; exercised by
     the identity tests."""
-    sol = _painleve(psi, sol)
+    sol = _painleve_at(s, w, psi, sol)
     inner = H_FROM_F ** 2 * _inner_product_integral(s, w, sol, profile_pair)
     return float(4.0 / np.pi ** 2 * tracy_widom_f1(s, sol) * inner)
 

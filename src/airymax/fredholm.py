@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscretizationFailureError, DomainError, OracleUnavailableError
-from .special import airy_both
+from .special import airy_both, half_line_rule
 
 _PHI_ARG_CUT = 34.0   # beyond this the e^{xt} Ai(..) product is below 1e-130
 
@@ -36,11 +36,14 @@ def airy_kernel(s, n=80, scale=4.0):
     """Build the discretization at shift s with n mapped Gauss nodes."""
     if not 20 <= n <= 400:
         raise DomainError("node count n must lie in [20, 400]")
-    t, wt = np.polynomial.legendre.leggauss(n)
-    x = scale * (1.0 + t) / (1.0 - t)
-    wx = wt * 2.0 * scale / (1.0 - t) ** 2
+    rule = half_line_rule(n, scale)
+    x, wx = rule.nodes, rule.weights
     rw = np.sqrt(wx)
-    a, _ = airy_both(np.add.outer(x, x) + s)
+    # Ai(x_i + x_j + s) is symmetric: evaluate the upper triangle, mirror it
+    i, j = np.triu_indices(n)
+    a = np.empty((n, n))
+    a[i, j], _ = airy_both(x[i] + x[j] + s)
+    a[j, i] = a[i, j]
     K = rw[:, None] * a * rw[None, :]
     return AiryKernelDiscretization(n=n, nodes=x, weights=wx, s=float(s), matrix=K)
 

@@ -154,3 +154,50 @@ def psi_at_s_sequential(s_values, zeta_nodes, sol, phase_per_step=0.3):
         cur = zt
         out1[i], out2[i] = u1, u2
     return out1, out2
+
+
+def transport_profile_sequential(w_values, sol, s_lo=-10.5, s_hi=12.0, step=0.0025):
+    """Integrate the third-order f-ODE in s downward from s_hi for each w.
+
+    The step-by-step RK4 loop that airymax.airy2.transport_profile reorders
+    into prefix products of step matrices: same equation, seed, grid and
+    scheme, with each step applied to the state in turn.
+    """
+    from airymax.airy2 import FProfile, f_closed
+
+    w_arr = np.atleast_1d(np.asarray(w_values, dtype=float))
+    n = int(round((s_hi - s_lo) / step))
+    h = -(s_hi - s_lo) / n
+    s_desc = s_hi + h * np.arange(n + 1)
+    half = s_hi + 0.5 * h * np.arange(2 * n + 1)
+    U = sol.potential(half)
+    Up = sol.potential_prime(half)
+
+    Y = np.empty((3, len(w_arr)))
+    for i, w in enumerate(w_arr):
+        a0, a1, a2 = f_closed(np.array([s_hi]), w, derivatives=2)
+        Y[0, i], Y[1, i], Y[2, i] = a0[0], a1[0], a2[0]
+
+    out_f = np.empty((n + 1, len(w_arr)))
+    out_fs = np.empty_like(out_f)
+    out_fss = np.empty_like(out_f)
+    out_f[0], out_fs[0], out_fss[0] = Y
+
+    def rhs(idx, Y):
+        u, up, sv = U[idx], Up[idx], half[idx]
+        y, y1, y2 = Y
+        y3 = (2.0 * w_arr * y2 + y1 * (6.0 * u + sv) + y * (3.0 * up + 2.0 - 2.0 * w_arr * u)) / 4.0
+        return np.array([y1, y2, y3])
+
+    for k in range(n):
+        i0 = 2 * k
+        k1 = rhs(i0, Y)
+        k2 = rhs(i0 + 1, Y + 0.5 * h * k1)
+        k3 = rhs(i0 + 1, Y + 0.5 * h * k2)
+        k4 = rhs(i0 + 2, Y + h * k3)
+        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out_f[k + 1], out_fs[k + 1], out_fss[k + 1] = Y
+
+    return FProfile(s_grid=s_desc[::-1].copy(), w_values=w_arr,
+                    f=out_f[::-1].copy(), f_s=out_fs[::-1].copy(),
+                    f_ss=out_fss[::-1].copy())

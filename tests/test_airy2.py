@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from airymax import airy2
-from airymax.errors import DomainError, MisconfigurationError, RangeError
+from airymax.errors import AirymaxError, DomainError, MisconfigurationError, RangeError
 from airymax.special import airy_ai_prime
+
+from _oracles import transport_profile_sequential
 
 
 def test_f_large_s_closed_form(psi):
@@ -40,6 +42,54 @@ def test_transport_seed_insensitivity(sol):
     ia = int(np.argmin(np.abs(a.s_grid)))
     ib = int(np.argmin(np.abs(b.s_grid)))
     assert np.allclose(a.f[ia], b.f[ib], rtol=1e-8, atol=1e-10)
+
+
+def test_transport_matches_sequential(sol):
+    # the prefix-product transport against the step-by-step RK4 loop, relative
+    # to each column's scale; rounding grows with depth as the ODE amplifies it
+    # (the loop's own step-halving change is ~1e-11 at s = -5, ~2e-7 at -10.5).
+    # Measured: f 5.6e-12 / 2.3e-7, f_s 3.1e-11 / 1.9e-6, f_ss 8.9e-11 / 7.4e-6.
+    w_pos = np.round(np.arange(0.0, 6.05, 0.1), 12)   # build_joint_density_grid's 121 columns
+    w = np.concatenate([w_pos, -w_pos[1:]])
+    new = airy2.transport_profile(w, sol, s_lo=-10.5)
+    ref = transport_profile_sequential(w, sol, s_lo=-10.5)
+    assert np.array_equal(new.s_grid, ref.s_grid)
+    shallow = new.s_grid >= -5.0
+    for name, ratio in (("f", 1.0), ("f_s", 10.0), ("f_ss", 40.0)):
+        a, b = getattr(new, name), getattr(ref, name)
+        rel = np.abs(a - b) / np.max(np.abs(b), axis=0)
+        assert rel[shallow].max() <= 1e-10 * ratio, name
+        assert rel.max() <= 1e-6 * ratio, name
+
+
+def test_transport_columns_independent(sol):
+    w = np.array([0.0, 0.35, -0.35, 1.2, -2.0, 2.75, -3.25, 4.1, -4.9, 5.5, -6.0, 0.05])
+    many = airy2.transport_profile(w, sol, s_lo=-4.0)
+    for j in (0, 4, 11):
+        alone = airy2.transport_profile([w[j]], sol, s_lo=-4.0)
+        for name in ("f", "f_s", "f_ss"):
+            assert np.array_equal(getattr(alone, name)[:, 0], getattr(many, name)[:, j])
+
+
+def test_profile_value_outside_range_raises(psi, sol):
+    prof = airy2.transport_profile([-1.0], sol, s_lo=-0.75)
+    assert prof.value(12.0, -1.0) == prof.f[-1, 0]
+    for s in (14.0, 20.0, -1.0):
+        with pytest.raises(RangeError):
+            prof.value(s, -1.0)
+    # the transport route of f_function must not return the s = 12 seed
+    with pytest.raises(RangeError):
+        airy2.f_function(14.0, -1.0, psi)
+
+
+@pytest.mark.parametrize("s", [11.0, 12.5, -11.9, np.nan])
+def test_joint_pdf_checks_s_at_entry(sol, monkeypatch, s):
+    def no_transport(*a, **k):
+        raise AssertionError("transport_profile called")
+    monkeypatch.setattr(airy2, "transport_profile", no_transport)
+    for fn in (airy2.joint_pdf, airy2.joint_pdf_h_form):
+        with pytest.raises(AirymaxError):
+            fn(s, 0.5, sol=sol)
 
 
 def test_w_cap(psi):

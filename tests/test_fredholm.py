@@ -4,6 +4,7 @@ import pytest
 from airymax import fredholm
 from airymax.errors import DomainError
 from airymax.painleve import tracy_widom_f1
+from airymax.special import airy_both
 
 
 def test_right_limit():
@@ -29,6 +30,20 @@ def test_kernel_invariants():
     assert np.max(np.abs(disc.matrix - disc.matrix.T)) <= 1e-14
     radius = np.max(np.abs(np.linalg.eigvalsh(disc.matrix)))
     assert radius < 1.0
+
+
+@pytest.mark.parametrize("n", [20, 61, 80, 140])
+def test_kernel_triangle_matches_full_evaluation(n):
+    # Ai is evaluated on the upper triangle only and mirrored; the matrix
+    # must equal the one from all n x n arguments bit for bit
+    t, wt = np.polynomial.legendre.leggauss(n)
+    x = 4.0 * (1.0 + t) / (1.0 - t)
+    rw = np.sqrt(wt * 8.0 / (1.0 - t) ** 2)
+    for s in (-10.0, -3.3, 0.0, 2.7, 8.0):
+        a, _ = airy_both(np.add.outer(x, x) + s)
+        disc = fredholm.airy_kernel(s, n)
+        assert np.array_equal(disc.nodes, x)
+        assert np.array_equal(disc.matrix, rw[:, None] * a * rw[None, :])
 
 
 def test_resolvent_identity():
