@@ -302,10 +302,9 @@ def _quad_certified(s, w):
 
 def f_function(s, w, psi, with_error=False):
     """f(s, w) by the regularized zeta-integral where certified, else by
-    transport of the defining third-order ODE."""
-    if abs(w) > W_CAP:
-        raise DomainError(f"|w| <= {W_CAP} required")
-    sol = psi.painleve
+    transport of the defining third-order ODE.  (s, w) is checked at entry
+    on the domain of joint_pdf."""
+    sol = _painleve_at(s, w, psi, None)
     if _quad_certified(s, w):
         if w >= 5.0:
             val = float(_large_w_f([s], w, sol)[0])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import airy2, fredholm, mc
 from .errors import DomainError
-from .finite_n import cdf_max_finite_n, jpdf_finite_n, large_deviation_eval
+from .finite_n import build_op_table, cdf_max_finite_n, jpdf_finite_n, large_deviation_eval
 from .painleve import solve_hastings_mcleod, tracy_widom_f1
 
 SCHEMA_VERSION = 1
@@ -124,8 +124,10 @@ def cmd_finite_n(args):
     N = args.walkers
     rows = []
     for M in np.round(np.arange(args.m_min, args.m_max + args.m_step / 2, args.m_step), 12):
+        model = build_op_table(M, N)
+        cdf = cdf_max_finite_n(M, N, model=model)
         for tau in np.round(np.arange(0.1, 0.91, 0.1), 12):
-            rows.append((M, tau, jpdf_finite_n(M, tau, N), cdf_max_finite_n(M, N)))
+            rows.append((M, tau, jpdf_finite_n(M, tau, N, model=model), cdf))
     _emit(args, ["M", "tau", "joint_density", "cdf_max"], rows, {
         "joint_density": f"exact joint density at N = {N}",
         "cdf_max": "cumulative distribution of the maximal height"})

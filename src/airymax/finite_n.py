@@ -7,9 +7,11 @@ The Stieltjes construction runs on orthonormal wave functions so every
 intermediate stays O(1); norms are tracked as log h_k.  recurrence_table
 holds each value as a float mantissa times a per-n power of two, since its
 high degrees need exponent range below the weight's underflow, not digits.
-The alternating sums cancel to exp(-M^2/(1+2u)) of the term scale in the bulk
-regime, far beyond double precision, so g_function falls back to a
-double-double pipeline (weights included) whenever cancellation is detected.
+The alternating G sums cancel to about exp(-M^2/(1+2u)) of their term scale,
+far beyond double precision once M^2/(1+2u) passes ~35.  Where they cancel,
+G is taken from their Poisson dual: a sum of a few Hermite-function terms
+that carry that scale themselves and do not cancel.  Every k and both signs
+of u come from one pass per op table (g_product_sum).
 """
 
 import math
@@ -25,7 +27,6 @@ from .special import airy_both, hermite_fn
 _PI_DD = (3.141592653589793, 1.2246467991473532e-16)
 
 DD_FALLBACK_DEFECT = 1e-8
-CANCELLATION_GUARD = 1e-11
 
 
 def _weight_exponent(M):
@@ -34,14 +35,13 @@ def _weight_exponent(M):
     return dd.div_d(p2h, p2l, 2.0 * M * M)
 
 
-def suggested_n_max(M, deg_max, u_edge=0.0):
-    """Lattice cutoff certifying the dropped tail of all sums involved.
+def suggested_n_max(M, deg_max):
+    """Lattice cutoff certifying the dropped tail of the Stieltjes sums.
 
-    The heaviest integrand is n^(deg+1) exp(-a n^2 (1 - 2|u|)) with
-    a = pi^2/(4 M^2); cover its peak plus a generous margin.
+    The heaviest integrand is n^(deg+1) exp(-a n^2) with a = pi^2/(4 M^2);
+    cover its peak plus a generous margin.
     """
-    shrink = max(1.0 - 2.0 * abs(u_edge), 1e-4)
-    a = np.pi ** 2 / (4.0 * M * M) * shrink
+    a = np.pi ** 2 / (4.0 * M * M)
     n_peak = math.sqrt((deg_max + 2.0) / (2.0 * a))
     return int(math.ceil(max(8.0 * M + 50.0, 1.8 * n_peak + 50.0)))
 
@@ -135,18 +135,14 @@ def _orthonormality_defect(model, max_deg=None):
     return float(np.max(np.abs(gram - np.eye(deg + 1))))
 
 
-def build_op_table(M, N, defect_threshold=DD_FALLBACK_DEFECT, u_edge=0.0):
-    """Stieltjes construction of the orthonormal wave functions at (M, N).
-
-    u_edge widens the lattice so later G evaluations up to |u| = u_edge are
-    tail-certified without rebuilding.
-    """
+def build_op_table(M, N, defect_threshold=DD_FALLBACK_DEFECT):
+    """Stieltjes construction of the orthonormal wave functions at (M, N)."""
     if not 1 <= N <= 64:
         raise DomainError("walker count N must lie in [1, 64]")
     if not 0.5 <= M <= 4.0 * math.sqrt(2.0 * N) + 1e-9:
         raise DomainError(f"M = {M} outside [0.5, 4 sqrt(2N)]")
     deg_max = 2 * N - 1
-    n_max = suggested_n_max(M, deg_max, u_edge=u_edge)
+    n_max = suggested_n_max(M, deg_max)
     n = np.arange(-n_max, n_max + 1, dtype=float)
     w = np.exp(-np.pi ** 2 * n ** 2 / (2.0 * M * M))
     h0, gammas, table = _stieltjes_float(n, w, deg_max)
@@ -222,113 +218,183 @@ def recurrence_table(M, deg_max, n_max=None):
     return _stieltjes_extended(n, M, deg_max)
 
 
-def _g_lattice(model, k, u_edge):
-    need = max(suggested_n_max(model.M, 2 * k - 1, u_edge=u_edge), model.n_max)
-    return np.arange(-need, need + 1, dtype=float)
+# dropped terms of either G sum lie below e^-_LOG_TAIL of their envelope's peak
+_LOG_TAIL = 45.0
 
 
-def _g_terms_combined(n, gammas, log_h0, M, k, u):
-    """Alternating-sum terms via the recursion on q_j(n) = phat_j(n) W(n),
+def _g_terms(n, gammas, log_h0, M, k_max, u):
+    """Terms (-1)^n n q_{2k-1}(n) of the direct alternating sums, shape
+    (k_max, len(n), len(u)), from the recursion on q_j(n) = phat_j(n) W(n),
     where W is the combined Gaussian exp(-(pi^2 n^2/(4 M^2))(1 + 2u)).
 
     Folding the full exponential into the recursion seed keeps every
     intermediate representable: the factored form psi * exp(-u ...) under- and
     overflows pointwise near |u| = 1/2 although the product is O(1).
     """
-    expo = np.exp(-(np.pi ** 2 * n * n / (4.0 * M * M)) * (1.0 + 2.0 * u))
-    q = expo * math.exp(-0.5 * log_h0)
+    nn = n[:, None]
+    q = np.exp(-(np.pi ** 2 * nn * nn / (4.0 * M * M)) * (1.0 + 2.0 * u)) * math.exp(-0.5 * log_h0)
     q_prev = np.zeros_like(q)
-    for j in range(1, 2 * k):
-        if j == 1:
-            q_new = n * q / gammas[1]
-        else:
-            q_new = (n * q - gammas[j - 1] * q_prev) / gammas[j]
-        q_prev, q = q, q_new
-    signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
-    return signs * n * q
+    signed_n = (1.0 - 2.0 * (np.abs(n) % 2))[:, None] * nn
+    out = np.empty((k_max,) + q.shape)
+    for j in range(1, 2 * k_max):
+        g_prev = gammas[j - 1] if j > 1 else 0.0
+        q_prev, q = q, (nn * q - g_prev * q_prev) / gammas[j]
+        if j % 2:
+            out[j // 2] = signed_n * q
+    return out
 
 
-def _g_sum_dd(M, k, u, n_eval):
-    """Full dd pipeline: dd Stieltjes for the gammas on the weight support,
-    then the combined-exponent recursion and alternating sum in dd."""
-    n_base = np.arange(-suggested_n_max(M, 2 * k - 1), suggested_n_max(M, 2 * k - 1) + 1,
-                       dtype=float)
-    ah, al = _weight_exponent(M)
-    wh, wl = dd.exp(*dd.mul_d(ah, al, -(n_base * n_base)))
-    h0h, h0l = dd.tree_sum(wh, wl)
-    psi_h, psi_l = dd.sqrt(*dd.div(wh, wl, h0h, h0l))
-    prev_h = np.zeros_like(psi_h)
-    prev_l = np.zeros_like(psi_l)
-    g_h = g_l = 0.0
-    gam_dd = [(np.nan, np.nan)]
-    for j in range(1, 2 * k):
-        yh, yl = dd.add(*dd.mul(*dd.dd(n_base), psi_h, psi_l),
-                        *dd.neg(*dd.mul(prev_h, prev_l, g_h, g_l)))
-        n2h, n2l = dd.tree_sum(*dd.mul(yh, yl, yh, yl))
-        gh, gl = dd.sqrt(n2h, n2l)
-        prev_h, prev_l = psi_h, psi_l
-        psi_h, psi_l = dd.div(yh, yl, gh, gl)
-        g_h, g_l = gh, gl
-        gam_dd.append((float(gh), float(gl)))
-    # combined-exponent recursion on the evaluation lattice
-    n = n_eval
-    ch, cl = dd.mul_d(*dd.div_d(*dd.mul(*_PI_DD, *_PI_DD), 4.0 * M * M), 1.0 + 2.0 * u)
-    eh, el = dd.exp(*dd.mul_d(ch, cl, -(n * n)))
-    ih, il = dd.div(*dd.dd(np.ones_like(n)), *dd.sqrt(h0h, h0l))
-    qh, ql = dd.mul(eh, el, ih, il)
-    qph, qpl = np.zeros_like(qh), np.zeros_like(ql)
-    for j in range(1, 2 * k):
-        nh, nl = dd.mul(*dd.dd(n), qh, ql)
-        if j > 1:
-            gp_h, gp_l = gam_dd[j - 1]
-            nh, nl = dd.add(nh, nl, *dd.neg(*dd.mul(qph, qpl, gp_h, gp_l)))
-        qph, qpl = qh, ql
-        qh, ql = dd.div(nh, nl, gam_dd[j][0], gam_dd[j][1])
-    signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
-    th, tl = dd.mul(qh, ql, *dd.dd(signs * n))
-    sh, sl = dd.tree_sum(th, tl)
-    return float(sh + sl)
+def _direct_lattice(M, u_min, deg):
+    """|n| <= n_cut, past which n^deg exp(-b n^2) stays below e^-_LOG_TAIL of its peak.
+
+    Past the peak n_p = sqrt(deg / (2b)) the envelope falls at least like
+    exp(-b (n - n_p)^2), so n_p + sqrt(_LOG_TAIL / b) suffices.
+    """
+    b = np.pi ** 2 * (1.0 + 2.0 * u_min) / (4.0 * M * M)
+    n_cut = int(math.ceil(math.sqrt(deg / (2.0 * b)) + math.sqrt(_LOG_TAIL / b))) + 1
+    return np.arange(-n_cut, n_cut + 1, dtype=float)
+
+
+def _g_dual(model, k_max, u):
+    """G_{2k-1}(M, u) for k <= k_max by Poisson summation, shape (k_max, len(u)).
+
+    With b = pi^2 (1 + 2u)/(4 M^2) and y = sqrt(2b) x, each q_j(x) is a finite
+    sum of orthonormal Hermite functions phi_n(y): q_0 = pi^(1/4) phi_0 / sqrt(h_0),
+    and multiplication by x acts on the coefficients through the Hermite Jacobi
+    matrix.  Poisson summation turns sum_n (-1)^n F(n), F = x q_{2k-1}, into
+    sum_m Fhat(m + 1/2), and phi_n transforms into (-i)^n phi_n, so
+        G = 2 sqrt(pi/b) sum_n (-1)^(n/2) d_n sum_{m >= 0} phi_n(t_m),
+    with t_m = pi (2m + 1)/sqrt(2b) and d the coefficients of F (even n only).
+    At t_0 = sqrt(2) eta, eta^2 = M^2/(1 + 2u), the Gaussian is exp(-eta^2): the
+    scale the direct sum cancels down to, here carried by the terms themselves.
+    Coefficients and Hermite values are rescaled by powers of two per column,
+    their exponents kept as logs, so neither over- nor underflows on the way.
+    """
+    deg = 2 * k_max                      # Hermite degree of x q_{2k_max - 1}
+    n_u = len(u)
+    b = np.pi ** 2 * (1.0 + 2.0 * u) / (4.0 * model.M ** 2)
+    r = 1.0 / np.sqrt(2.0 * b)           # x = r y
+    half = np.sqrt(np.arange(1, deg + 1) / 2.0)[:, None]
+    ln2 = math.log(2.0)
+
+    def times_x(v):                      # y phi_n = sqrt((n+1)/2) phi_{n+1} + sqrt(n/2) phi_{n-1}
+        out = np.zeros_like(v)
+        out[1:] = half * v[:-1]
+        out[:-1] += half * v[1:]
+        return out * r
+
+    c = np.zeros((deg + 1, n_u))
+    c[0] = np.pi ** 0.25
+    c_prev = np.zeros_like(c)
+    log_c = np.full(n_u, -0.5 * model.log_h[0])
+    d = np.empty((k_max, deg + 1, n_u))
+    log_d = np.empty((k_max, n_u))
+    for j in range(2 * k_max - 1):       # c becomes the coefficients of q_{j+1}
+        nxt = times_x(c)
+        if j:
+            nxt -= model.gamma[j] * c_prev
+        c_prev, c = c, nxt / model.gamma[j + 1]
+        _, e = np.frexp(np.max(np.abs(c), axis=0))
+        c, c_prev, log_c = np.ldexp(c, -e), np.ldexp(c_prev, -e), log_c + e * ln2
+        if j % 2 == 0:
+            d[j // 2], log_d[j // 2] = times_x(c), log_c
+
+    # Hermite functions at t_m; the envelope t^deg exp(-t^2/2) falls by
+    # e^-_LOG_TAIL within sqrt(2 _LOG_TAIL) of max(t_0, sqrt(deg))
+    t0_min = float(np.pi * np.min(r))
+    t_last = max(t0_min, math.sqrt(deg)) + math.sqrt(2.0 * _LOG_TAIL)
+    n_terms = int((t_last / t0_min - 1.0) // 2.0) + 1
+    t = np.pi * (2.0 * np.arange(n_terms) + 1.0)[:, None] * r
+    p_prev, p = np.zeros_like(t), np.full_like(t, np.pi ** -0.25)
+    log_p = -0.5 * t * t
+    phi, log_phi = [p], [log_p]
+    for n in range(deg):
+        p_prev, p = p, math.sqrt(2.0 / (n + 1)) * t * p - math.sqrt(n / (n + 1.0)) * p_prev
+        _, e = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
+        p, p_prev, log_p = np.ldexp(p, -e), np.ldexp(p_prev, -e), log_p + e * ln2
+        phi.append(p)
+        log_phi.append(log_p)
+    even = slice(0, deg + 1, 2)
+    signs = (-1.0) ** np.arange(k_max + 1)[None, :, None]     # (-i)^n, n = 2l
+    with np.errstate(under="ignore"):
+        scale = np.exp(np.array(log_phi[even])[None] + log_d[:, None, None, :])
+        phi_sums = np.sum(np.array(phi[even])[None] * scale, axis=2)   # (k_max, l, n_u)
+    return 2.0 * np.sqrt(np.pi / b) * np.sum(signs * d[:, even] * phi_sums, axis=1)
+
+
+def _g_table(model, k_max, u):
+    """G_{2k-1}(M, u) for k <= k_max, shape (k_max, len(u)).
+
+    The dual sum is taken where t_0 = sqrt(2) eta lies past the turning point
+    sqrt(4k + 1) of phi_{2k}, i.e. eta^2 >= 2k + 1/2: there the direct sum
+    cancels by about exp(-eta^2) and the dual terms decay at once.  Inside the
+    turning point the dual polynomials oscillate and lose digits, while the
+    direct sum keeps them, on a lattice of a few dozen points since b is
+    bounded below there.
+    """
+    eta2 = model.M ** 2 / (1.0 + 2.0 * u)
+    use_dual = eta2[None, :] >= 2.0 * np.arange(1, k_max + 1)[:, None] + 0.5
+    out = np.empty((k_max, len(u)))
+    cols = np.any(use_dual, axis=0)
+    if np.any(cols):
+        out[:, cols] = _g_dual(model, k_max, u[cols])
+    cols = ~np.all(use_dual, axis=0)
+    if np.any(cols):
+        n = _direct_lattice(model.M, float(np.min(u[cols])), 2 * k_max)
+        direct = _g_terms(n, model.gamma, model.log_h[0], model.M, k_max, u[cols]).sum(axis=1)
+        out[:, cols] = np.where(use_dual[:, cols], out[:, cols], direct)
+    return out
+
+
+def _check_k(model, k):
+    k_top = (model.deg_max + 1) // 2
+    if not 1 <= k <= k_top:
+        raise DomainError(f"k must lie in [1, {k_top}]")
 
 
 def g_function(model, k, u):
     """G_{2k-1}(M, u) = sum_n (-1)^n n psi_{2k-1}(n) exp(-u pi^2 n^2/(2M^2)).
 
-    Absolutely convergent for |u| < 1/2; the lattice cutoff certifies the
-    dropped tail below 1e-15 of the peak term.  Falls back to the dd pipeline
-    when the alternating cancellation exhausts double precision.
+    Absolutely convergent for |u| < 1/2.  Where the alternating sum cancels
+    (eta^2 = M^2/(1 + 2u) >= 2k + 1/2) it is evaluated through its Poisson
+    dual, a sum of a few non-cancelling Hermite-function terms; elsewhere
+    directly on a lattice whose dropped tail is below e^-45 of the peak term.
     """
     if not abs(u) < 0.5:
         raise DomainError("|u| < 1/2 required")
-    if not 1 <= k <= (model.deg_max + 1) // 2:
-        raise DomainError(f"k must lie in [1, {(model.deg_max + 1) // 2}]")
-    n = _g_lattice(model, k, u)
-    terms = _g_terms_combined(n, model.gamma, model.log_h[0], model.M, k, u)
-    total = float(np.sum(terms))
-    peak = float(np.max(np.abs(terms)))
-    if peak > 0 and abs(total) < CANCELLATION_GUARD * peak:
-        return _g_sum_dd(model.M, k, u, n)
-    return total
+    _check_k(model, k)
+    return float(_g_table(model, k, np.array([float(u)]))[k - 1, 0])
 
 
 def g_function_vector(model, k, u_values):
-    """g_function over an array of u (float path only; used by quadratures
-    at physical arguments where no deep cancellation occurs)."""
+    """g_function over an array of u, in one pass for every k requested.
+
+    k is an int (result shaped like u_values) or a sequence of ints (one row
+    per k).  Non-finite u and |u| >= 1/2 raise DomainError; an empty u gives
+    an empty result.
+    """
     u_values = np.asarray(u_values, dtype=float)
-    if np.any(np.abs(u_values) >= 0.5):
-        raise DomainError("|u| < 1/2 required")
-    n = _g_lattice(model, k, float(np.max(np.abs(u_values))))
-    expo = np.exp(-(np.pi ** 2 * n[:, None] ** 2 / (4.0 * model.M ** 2))
-                  * (1.0 + 2.0 * u_values[None, :]))
-    q = expo * math.exp(-0.5 * model.log_h[0])
-    q_prev = np.zeros_like(q)
-    nn = n[:, None]
-    for j in range(1, 2 * k):
-        if j == 1:
-            q_prev, q = q, nn * q / model.gamma[1]
-        else:
-            q_prev, q = q, (nn * q - model.gamma[j - 1] * q_prev) / model.gamma[j]
-    signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
-    return (signs * n) @ q
+    ks = np.atleast_1d(np.asarray(k))
+    for kk in ks:
+        _check_k(model, int(kk))
+    if not np.all(np.abs(u_values) < 0.5):     # NaN fails this too
+        raise DomainError("finite u with |u| < 1/2 required")
+    flat = u_values.ravel()
+    table = (_g_table(model, int(ks.max()), flat) if flat.size
+             else np.empty((int(ks.max()), 0)))
+    rows = table[ks - 1].reshape(ks.shape + u_values.shape)
+    return rows[0] if np.ndim(k) == 0 else rows
+
+
+def g_product_sum(model, u_values):
+    """sum_{k <= N} G_{2k-1}(M, u) G_{2k-1}(M, -u) over an array of u: the
+    tau-dependence of the joint density, from one G evaluation for all k and
+    both signs of u."""
+    u_values = np.asarray(u_values, dtype=float)
+    g = g_function_vector(model, list(range(1, model.N + 1)),
+                          np.concatenate([u_values, -u_values]))
+    n_u = len(u_values)
+    return np.sum(g[:, :n_u] * g[:, n_u:], axis=0)
 
 
 def log_cdf_max(M, N, model=None):
@@ -353,12 +419,10 @@ def jpdf_finite_n(M, tau, N, model=None):
         raise DomainError("tau must lie in (0, 1)")
     if model is None:
         model = build_op_table(M, N)
-    u = tau - 0.5
-    acc = 0.0
-    for k in range(1, N + 1):
-        acc += g_function(model, k, u) * g_function(model, k, -u)
-    val = cdf_max_finite_n(M, N, model=model) * math.pi ** 2 / (2.0 * M ** 3) * acc
-    return float(val)
+    if model.N != N:
+        raise DomainError(f"model built for N = {model.N}, not {N}")
+    acc = float(g_product_sum(model, [tau - 0.5])[0])
+    return cdf_max_finite_n(M, N, model=model) * math.pi ** 2 / (2.0 * M ** 3) * acc
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
 
     Returns (cdf_M callable, cdf_tau callable, pdf grid metadata).
     """
-    from .finite_n import build_op_table, cdf_max_finite_n, g_function_vector, log_cdf_max
+    from .finite_n import build_op_table, cdf_max_finite_n, g_product_sum, log_cdf_max
 
     if m_cap is None:
         m_cap = 4.0 * np.sqrt(2.0 * N)
@@ -297,14 +297,10 @@ def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
     m_weights = 0.5 * (m_cap - m_lo) * w_quad
     tau_grid = np.linspace(0.0, 1.0, n_tau)
     u_inner = tau_grid[1:-1] - 0.5
-    u_edge = float(np.max(np.abs(u_inner)))
     pdf_tau = np.zeros((n_m, n_tau))
     for i, M in enumerate(m_nodes):
-        model = build_op_table(M, N, u_edge=u_edge)
-        acc = np.zeros(len(u_inner))
-        for k in range(1, N + 1):
-            acc += (g_function_vector(model, k, u_inner)
-                    * g_function_vector(model, k, -u_inner))
+        model = build_op_table(M, N)
+        acc = g_product_sum(model, u_inner)
         pref = np.exp(log_cdf_max(M, N, model=model)) * np.pi ** 2 / (2.0 * M ** 3)
         pdf_tau[i, 1:-1] = pref * acc
 
@@ -333,7 +329,7 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
     against the exact finite-N density (N <= 3)."""
     if ensemble.N > 3:
         raise DomainError("exact comparison supported for N <= 3")
-    from .finite_n import build_op_table, g_function, log_cdf_max
+    from .finite_n import build_op_table, g_product_sum, log_cdf_max
 
     cdf_m, cdf_tau, meta = exact_marginals(ensemble.N)
     ks_m = ks_statistic(ensemble.maxima, cdf_m)
@@ -358,17 +354,13 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
             acc = 0.0
             for M in mm:
                 try:
-                    model = build_op_table(M, ensemble.N, u_edge=0.49)
+                    model = build_op_table(M, ensemble.N)
                 except (DomainError, PrecisionError):
                     continue  # density ~ e^-40 there
                 pref = np.exp(log_cdf_max(M, ensemble.N, model=model)) \
                     * np.pi ** 2 / (2.0 * M ** 3)
-                for tau in tt:
-                    if 0.0 < tau < 1.0:
-                        s = sum(g_function(model, k, tau - 0.5)
-                                * g_function(model, k, 0.5 - tau)
-                                for k in range(1, ensemble.N + 1))
-                        acc += pref * s
+                inner = tt[(tt > 0.0) & (tt < 1.0)]
+                acc += pref * float(np.sum(g_product_sum(model, inner - 0.5)))
             area = (edges_m[i + 1] - edges_m[i]) * (edges_t[j + 1] - edges_t[j]) / 16.0
             expected[i, j] = acc * area * n
     if np.any(expected < min_expected):

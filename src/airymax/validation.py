@@ -10,7 +10,7 @@ from . import airy2, fredholm, mc
 from .errors import DomainError, PrecisionError
 from .finite_n import (ScalingCoordinates, build_op_table, cdf_max_finite_n,
                        double_scaling_check, f1_scaling_function, g_closed_form,
-                       g_function, g_function_vector, g_plancherel_rotach,
+                       g_function, g_plancherel_rotach, g_product_sum,
                        jpdf_finite_n, large_deviation_eval, log_cdf_max)
 from .lax import psi_at_s, solve_psi_column
 from .painleve import tracy_widom_f1
@@ -220,8 +220,7 @@ def criterion_8_finite_n_exact(ctx):
 
 def _normalization_finite_n(N, n_m=72, n_tau=72, u_half=0.496):
     # the tau-window is truncated at |u| = u_half: the dropped strips carry
-    # mass ~ exp(-M^2/(1 - 2 u_half)) < 1e-17, and closer to the corner the
-    # alternating sums have no signal left in double precision
+    # mass ~ exp(-M^2/(1 - 2 u_half)) < 1e-17
     m_cap = 4.0 * np.sqrt(2.0 * N)
     m_lo = 0.5
     for m_try in np.arange(0.5, 0.3 * m_cap, 0.05):
@@ -239,10 +238,8 @@ def _normalization_finite_n(N, n_m=72, n_tau=72, u_half=0.496):
     uw = u_half * wt
     total = 0.0
     for M, wgt in zip(mn, mw):
-        model = build_op_table(M, N, u_edge=float(np.max(np.abs(un))))
-        acc = np.zeros(len(un))
-        for k in range(1, N + 1):
-            acc += g_function_vector(model, k, un) * g_function_vector(model, k, -un)
+        model = build_op_table(M, N)
+        acc = g_product_sum(model, un)
         pref = np.exp(log_cdf_max(M, N, model=model)) * np.pi ** 2 / (2.0 * M ** 3)
         total += wgt * float(uw @ (pref * acc))
     return float(total)

@@ -1,5 +1,7 @@
 """Extended-precision and brute-force reference values used only by tests."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -96,6 +98,48 @@ def stieltjes_mp(M, deg_max, n_max, dps=30):
             g_prev = g
             gammas[k] = float(g)
     return gammas
+
+
+def g_mp(M, N, u):
+    """G_{2k-1}(M, u) for k = 1..N: a Stieltjes procedure plus the alternating
+    lattice sum, both in mpmath.
+
+    The sum cancels down to about exp(-M^2/(1+2u)) of its term scale, so it
+    runs at 40 digits plus that loss, on a lattice whose dropped tail
+    n^(2N) exp(-b n^2), b = pi^2 (1+2u)/(4 M^2), lies below 10^-dps.  At
+    M = 16 and u = -0.3 this is 370 digits and ~0.4 s; 40 more digits leave
+    every value unchanged in double.
+    """
+    dps = int(math.ceil(1.2 * M * M / ((1.0 + 2.0 * u) * math.log(10.0)))) + 40
+    b_float = math.pi ** 2 * (1.0 + 2.0 * u) / (4.0 * M * M)
+    tail = dps * math.log(10.0) + 20.0
+    n_max = int(math.ceil(math.sqrt(N / b_float) + math.sqrt(tail / b_float))) + 2
+    with mp.workdps(dps):
+        a = mp.pi ** 2 / (4 * mp.mpf(M) ** 2)
+        n = [mp.mpf(i) for i in range(n_max + 1)]
+        mult = [1] + [2] * n_max            # n and -n carry equal squares
+        ea, e2a = mp.e ** (-a), mp.e ** (-2 * a)
+        sqw, cur, step = [], mp.mpf(1), ea  # exp(-a n^2) by a product recursion
+        for _ in n:
+            sqw.append(cur)
+            cur, step = cur * step, step * e2a
+        rt = mp.sqrt(mp.fsum(m * v * v for m, v in zip(mult, sqw)))
+        psi = [v / rt for v in sqw]
+        prev = [mp.mpf(0)] * len(n)
+        g_prev = mp.mpf(0)
+        odd = []
+        for j in range(1, 2 * N):
+            y = [n[i] * psi[i] - g_prev * prev[i] for i in range(len(n))]
+            g = mp.sqrt(mp.fsum(m * v * v for m, v in zip(mult, y)))
+            prev, psi = psi, [v / g for v in y]
+            g_prev = g
+            if j % 2:
+                odd.append(psi)
+        damp = [mp.e ** (-2 * a * mp.mpf(u) * x * x) for x in n]
+        # psi_{2k-1} is odd, so n psi(n) is even and n, -n add
+        return np.array([float(mp.fsum((-1) ** i * 2 * n[i] * p[i] * damp[i]
+                                       for i in range(1, len(n))))
+                         for p in odd])
 
 
 # frozen output of stieltjes_mp(30, 904, 782), the lattice recurrence_table(30, 904)

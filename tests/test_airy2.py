@@ -92,6 +92,17 @@ def test_joint_pdf_checks_s_at_entry(sol, monkeypatch, s):
             fn(s, 0.5, sol=sol)
 
 
+@pytest.mark.parametrize("s", [11.0, 12.5, -11.9, np.nan])
+@pytest.mark.parametrize("w", [1.0, -1.0])
+def test_f_function_checks_s_at_entry(psi, monkeypatch, s, w):
+    def no_work(*a, **k):
+        raise AssertionError("f evaluated outside its domain")
+    monkeypatch.setattr(airy2, "transport_profile", no_work)
+    monkeypatch.setattr(airy2, "psi_at_s", no_work)
+    with pytest.raises(RangeError):
+        airy2.f_function(s, w, psi)
+
+
 def test_w_cap(psi):
     with pytest.raises(DomainError):
         airy2.f_function(0.0, 6.5, psi)

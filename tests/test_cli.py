@@ -98,3 +98,30 @@ def test_airy2_builds_no_psi_grid(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     assert len(rows) == 6
     assert max(float(r[4]) for r in rows[1:]) <= 1e-3
+
+
+def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
+    from airymax import finite_n
+    out = str(tmp_path / "fn.csv")
+    argv = ["finite-n", "-N", "2", "--m-min", "1.5", "--m-max", "2.5", "--m-step", "0.5",
+            "-o", out]
+    builds = []
+    real_build = finite_n.build_op_table
+
+    def counting(M, N, **kw):
+        builds.append((M, N))
+        return real_build(M, N, **kw)
+    monkeypatch.setattr(finite_n, "build_op_table", counting)
+    monkeypatch.setattr(cli, "build_op_table", counting)
+    assert main(argv) == 0
+    # N = 8, 16 and 32 tables belong to the convergence report
+    assert [b for b in builds if b[1] == 2] == [(1.5, 2), (2.0, 2), (2.5, 2)]
+    monkeypatch.undo()
+    # the same rows, each evaluated with a fresh table
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 27
+    for M, tau, dens, cdf in rows:
+        M, tau = float(M), float(tau)
+        assert dens == cli._fmt(finite_n.jpdf_finite_n(M, tau, 2))
+        assert cdf == cli._fmt(finite_n.cdf_max_finite_n(M, 2))
