@@ -22,8 +22,8 @@ from .mc import (PathEnsemble, compare_to_exact, exact_marginals, extreme_stats,
 from .painleve import (PainleveSolution, left_tail_log_f1, log_tracy_widom_f1,
                        solve_hastings_mcleod, tracy_widom_f1)
 from .special import (QuadratureRule, RegularizedOscillatoryIntegral, airy_ai,
-                      airy_ai_prime, airy_both, gauss_legendre_rule, hermite,
-                      hermite_fn, half_line_rule, integrate, oscillatory_rule,
+                      airy_ai_prime, airy_both, gauss_legendre_rule,
+                      half_line_rule, integrate, oscillatory_rule,
                       regularized_oscillatory_integral)
 
 __version__ = "0.1.0"

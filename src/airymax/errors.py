@@ -9,10 +9,6 @@ class DomainError(AirymaxError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class UnsupportedDegreeError(DomainError):
-    """Polynomial degree above the supported cap."""
-
-
 class RangeError(DomainError):
     """Argument outside the range covered by a precomputed solution."""
 
@@ -70,7 +66,7 @@ class OracleUnavailableError(AirymaxError):
 
 
 class PrecisionError(AirymaxError):
-    """Working precision was insufficient; extended precision may be required."""
+    """Double precision cannot resolve the requested quantity at this input."""
 
 
 class InfeasibleConfigurationError(AirymaxError):

@@ -4,7 +4,9 @@ joint density of (max height, argmax time) for N non-intersecting excursions,
 its cumulative in M, and the large-M asymptotic cross-checks.
 
 The Stieltjes construction runs on orthonormal wave functions so every
-intermediate stays O(1); norms are tracked as log h_k.  recurrence_table
+intermediate stays O(1); norms are tracked as log h_k.  build_op_table
+reorthogonalizes in floats and raises PrecisionError where double precision
+cannot resolve its table (degree <= 127).  recurrence_table
 holds each value as a float mantissa times a per-n power of two, since its
 high degrees need exponent range below the weight's underflow, not digits.
 The alternating G sums cancel to about exp(-M^2/(1+2u)) of their term scale,
@@ -20,19 +22,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from . import ddouble as dd
 from .errors import DomainError, PrecisionError
-from .special import airy_both, hermite_fn
+from .special import airy_both
 
-_PI_DD = (3.141592653589793, 1.2246467991473532e-16)
+# recurrence_table raises past this defect of psi_k against psi_0 or psi_1
+EXTENDED_DEFECT_LIMIT = 1e-8
 
-DD_FALLBACK_DEFECT = 1e-8
-
-
-def _weight_exponent(M):
-    # pi^2 / (2 M^2) in dd
-    p2h, p2l = dd.mul(*_PI_DD, *_PI_DD)
-    return dd.div_d(p2h, p2l, 2.0 * M * M)
+# build_op_table's guards, set on N in {1..16, 20, 24, 32, 48, 64} x M step 0.1.
+# The smallest residual share of a table was >= 5.7e-17 or <= 3.8e-23 (gammas
+# off by O(1) or beyond 300 digits).  The rounding bound was <= 3.7e-15 but at
+# (N, M) = (48, 4.0), (64, 5.3), (11, 0.9): 1.9e-11, 2.6e-7, 7.0e-4, with gammas
+# off by 3.2e-13, 2.6e-9, 1.1e-4.  Every table passing both matched a 300-digit
+# Stieltjes to 1.1e-13.
+_BREAKDOWN_SHARE = 1e-18
+_WEIGHT_ROUNDING_LIMIT = 1e-13
+_ONE_PASS_SHARE = math.sqrt(0.5)
+_TINY = np.finfo(float).tiny        # weights below it are subnormal ...
+_SUBNORMAL_ULP = 2.0 ** -1074       # ... and known to this absolute error
 
 
 def suggested_n_max(M, deg_max):
@@ -47,6 +53,17 @@ def suggested_n_max(M, deg_max):
 
 
 def _stieltjes_float(n, w, deg_max):
+    """Orthonormal wave functions psi_k = phat_k sqrt(w), k <= deg_max, by the
+    Stieltjes procedure with full reorthogonalization: each residual y is
+    projected off the stored rows of its parity (w is even, so the others are
+    orthogonal to y exactly), again where the first pass keeps less than
+    _ONE_PASS_SHARE of it (Kahan's "twice is enough"; Parlett, The Symmetric
+    Eigenvalue Problem, sec. 6.9).  PrecisionError is raised, before any
+    division, where less than _BREAKDOWN_SHARE of y remains (Lanczos
+    breakdown), and where rounding the subnormal weights may move a gamma by
+    more than _WEIGHT_ROUNDING_LIMIT, to first order
+    delta log h_k = sum_n psi_k(n)^2 delta w(n)/w(n).
+    """
     h0 = float(np.sum(w))
     psi = np.sqrt(w) / math.sqrt(h0)
     psi_prev = np.zeros_like(psi)
@@ -56,11 +73,27 @@ def _stieltjes_float(n, w, deg_max):
     g_prev = 0.0
     for k in range(1, deg_max + 1):
         y = n * psi - g_prev * psi_prev
-        g = float(np.sqrt(np.dot(y, y)))
+        y_norm = g = math.sqrt(np.dot(y, y))
+        rows = table[k % 2:k:2]
+        for _ in range(2 if k > 1 else 0):   # y = n psi_0 is odd: nothing to project
+            y -= np.dot(np.dot(rows, y), rows)
+            g, g_in = math.sqrt(np.dot(y, y)), g
+            if g >= _ONE_PASS_SHARE * g_in:
+                break
+        if not g > _BREAKDOWN_SHARE * y_norm:
+            raise PrecisionError(
+                f"Stieltjes breakdown at degree {k}: reorthogonalization left "
+                f"{g / y_norm:.1e} of the residual")
         psi_prev, psi = psi, y / g
         gammas[k] = g
         table[k] = psi
         g_prev = g
+    sub = w < _TINY                      # every row vanishes where w = 0
+    rel_err = _SUBNORMAL_ULP / np.maximum(w[sub], _SUBNORMAL_ULP)
+    bound = float((np.square(table[:, sub]) @ rel_err).max(initial=0.0))
+    if bound > _WEIGHT_ROUNDING_LIMIT:
+        raise PrecisionError(
+            f"wave functions rest on subnormal weights: gammas uncertain to {bound:.1e}")
     return h0, gammas, table
 
 
@@ -70,7 +103,7 @@ def _stieltjes_extended(n, M, deg_max):
 
     The three-term step acts pointwise in n, so the per-n scale is exact; only
     the norms sum over n.  The gammas stay within ~defect^2 of exact, so a
-    defect of psi_k against psi_0 or psi_1 above DD_FALLBACK_DEFECT (the
+    defect of psi_k against psi_0 or psi_1 above EXTENDED_DEFECT_LIMIT (the
     Lanczos instability past degree ~M^2) raises PrecisionError.
     """
     log2_w = -(np.pi ** 2 / (4.0 * M * M * math.log(2.0))) * n * n
@@ -94,7 +127,7 @@ def _stieltjes_extended(n, M, deg_max):
         if k >= 2:
             m0, e0 = low[k % 2]
             defect = abs(float(np.sum(np.ldexp(psi * m0, e + e0))))
-            if defect > DD_FALLBACK_DEFECT:
+            if defect > EXTENDED_DEFECT_LIMIT:
                 raise PrecisionError(
                     f"orthogonality defect {defect:.1e} at degree {k} for M = {M}")
         gammas[k] = g
@@ -114,6 +147,7 @@ class FiniteNModel:
     log_h: np.ndarray = field(repr=False)       # log h_k
     psi_table: np.ndarray = field(repr=False)   # (deg+1, n_pts) wave functions
     orthonormality_defect: float = np.nan
+    # always False; perfbench's tracer reads it for finite_n.dd_tables
     used_extended_precision: bool = False
 
     @property
@@ -128,15 +162,12 @@ class FiniteNModel:
         return float(self.gamma[k] ** 2)
 
 
-def _orthonormality_defect(model, max_deg=None):
-    deg = model.deg_max if max_deg is None else min(max_deg, model.deg_max)
-    sub = model.psi_table[: deg + 1]
-    gram = sub @ sub.T
-    return float(np.max(np.abs(gram - np.eye(deg + 1))))
-
-
-def build_op_table(M, N, defect_threshold=DD_FALLBACK_DEFECT):
-    """Stieltjes construction of the orthonormal wave functions at (M, N)."""
+def build_op_table(M, N):
+    """Orthonormal wave functions of the lattice weight exp(-pi^2 n^2/(2 M^2))
+    up to degree 2N - 1, their gammas and log norms, from _stieltjes_float;
+    PrecisionError where double precision cannot resolve them (e.g. M <= 0.6
+    at N = 8).  orthonormality_defect is max |Psi Psi^T - I| over all rows.
+    """
     if not 1 <= N <= 64:
         raise DomainError("walker count N must lie in [1, 64]")
     if not 0.5 <= M <= 4.0 * math.sqrt(2.0 * N) + 1e-9:
@@ -149,54 +180,10 @@ def build_op_table(M, N, defect_threshold=DD_FALLBACK_DEFECT):
     log_h = np.empty(deg_max + 1)
     log_h[0] = math.log(h0)
     log_h[1:] = log_h[0] + 2.0 * np.cumsum(np.log(gammas[1:]))
-    model = FiniteNModel(M=float(M), N=int(N), n_max=n_max, n_grid=n,
-                         gamma=gammas, log_h=log_h, psi_table=table)
-    defect = _orthonormality_defect(model, max_deg=min(deg_max, 63))
-    object.__setattr__(model, "orthonormality_defect", defect)
-    if defect > defect_threshold:
-        # extended-precision rerun; defect beyond this means the float
-        # recursion lost orthogonality
-        model = _build_op_table_dd(M, N, n_max)
-        if model.orthonormality_defect > defect_threshold:
-            raise PrecisionError(
-                f"orthogonality defect {model.orthonormality_defect:.2e} persists "
-                "in extended precision")
-    return model
-
-
-def _build_op_table_dd(M, N, n_max):
-    deg_max = 2 * N - 1
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    ah, al = _weight_exponent(M)
-    wh, wl = dd.exp(*dd.mul_d(ah, al, -(n * n)))
-    h0h, h0l = dd.tree_sum(wh, wl)
-    sh, sl = dd.sqrt(*dd.div(wh, wl, h0h, h0l))
-    psi_h, psi_l = sh, sl
-    prev_h = np.zeros_like(psi_h)
-    prev_l = np.zeros_like(psi_l)
-    gammas = np.full(deg_max + 1, np.nan)
-    table = np.empty((deg_max + 1, len(n)))
-    table[0] = psi_h + psi_l
-    g_h, g_l = 0.0, 0.0
-    log_h = np.empty(deg_max + 1)
-    log_h[0] = math.log(h0h)
-    for k in range(1, deg_max + 1):
-        yh, yl = dd.add(*dd.mul(*dd.dd(n), psi_h, psi_l),
-                        *dd.neg(*dd.mul(prev_h, prev_l, g_h, g_l)))
-        n2h, n2l = dd.tree_sum(*dd.mul(yh, yl, yh, yl))
-        gh, gl = dd.sqrt(n2h, n2l)
-        prev_h, prev_l = psi_h, psi_l
-        psi_h, psi_l = dd.div(yh, yl, gh, gl)
-        gammas[k] = gh + gl
-        table[k] = psi_h + psi_l
-        g_h, g_l = gh, gl
-        log_h[k] = log_h[k - 1] + 2.0 * math.log(gh)
-    model = FiniteNModel(M=float(M), N=int(N), n_max=n_max, n_grid=n,
-                         gamma=gammas, log_h=log_h, psi_table=table,
-                         used_extended_precision=True)
-    object.__setattr__(model, "orthonormality_defect",
-                       _orthonormality_defect(model, max_deg=min(deg_max, 63)))
-    return model
+    defect = float(np.abs(table @ table.T - np.eye(deg_max + 1)).max())
+    return FiniteNModel(M=float(M), N=int(N), n_max=n_max, n_grid=n,
+                        gamma=gammas, log_h=log_h, psi_table=table,
+                        orthonormality_defect=defect)
 
 
 def recurrence_table(M, deg_max, n_max=None):

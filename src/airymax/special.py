@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import airy as _scipy_airy
 
 from .errors import DomainError, IntegrandEvaluationError, MisconfigurationError, \
-    TailRegularizationError, UnsupportedDegreeError
+    TailRegularizationError
 
 
 def _airy_pair(x):
@@ -37,46 +37,6 @@ def airy_ai_prime(x):
 def airy_both(x):
     """(Ai(x), Ai'(x)) with one evaluation pass."""
     return _airy_pair(x)
-
-
-HERMITE_DEGREE_CAP = 300
-
-
-def hermite(k, z):
-    """Physicists' Hermite polynomial H_k(z) by the three-term recurrence."""
-    if k < 0 or int(k) != k:
-        raise DomainError(f"degree must be a nonnegative integer, got {k!r}")
-    if k > HERMITE_DEGREE_CAP:
-        raise UnsupportedDegreeError(
-            f"raw Hermite evaluation capped at degree {HERMITE_DEGREE_CAP} (got {k}); "
-            "use hermite_fn for normalized large-degree values")
-    z = np.asarray(z, dtype=float)
-    hm = np.ones_like(z)
-    if k == 0:
-        return hm if hm.ndim else float(hm)
-    hc = 2.0 * z
-    for j in range(1, k):
-        hm, hc = hc, 2.0 * z * hc - 2.0 * j * hm
-    return hc if hc.ndim else float(hc)
-
-
-def hermite_fn(k, z):
-    """Orthonormal Hermite function H_k(z) e^{-z^2/2} / sqrt(2^k k! sqrt(pi)).
-
-    Stable for large k where the raw polynomial overflows; values are O(1)
-    in the oscillatory region.
-    """
-    if k < 0 or int(k) != k:
-        raise DomainError(f"degree must be a nonnegative integer, got {k!r}")
-    z = np.asarray(z, dtype=float)
-    h0 = np.pi ** -0.25 * np.exp(-0.5 * z * z)
-    if k == 0:
-        return h0 if h0.ndim else float(h0)
-    hc = np.sqrt(2.0) * z * h0
-    hm = h0
-    for j in range(1, k):
-        hm, hc = hc, np.sqrt(2.0 / (j + 1)) * z * hc - np.sqrt(j / (j + 1.0)) * hm
-    return hc if hc.ndim else float(hc)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,19 @@ def test_large_deviation_values():
         fn.large_deviation_eval(1.2, 0.0, 10.0)
 
 
+def test_jpdf_approaches_large_deviation_rate():
+    # for M >> sqrt(2N), log P_N(M, tau) ~ -M^2 varphi(c, u), c = 2N/M^2,
+    # u = tau - 1/2; the ratio rises to 0.992-0.997 at M = 4 sqrt(2N)
+    for N in (2, 4, 8):
+        for tau in (0.5, 0.35):
+            ratios = []
+            for M in np.linspace(1.5, 4.0, 11) * math.sqrt(2.0 * N):
+                est = fn.large_deviation_eval(2.0 * N / M ** 2, tau - 0.5, M)
+                ratios.append(math.log(fn.jpdf_finite_n(M, tau, N)) / est.log_jpdf_estimate)
+            assert np.all(np.diff(ratios) > 0.0), (N, tau)
+            assert ratios[-1] >= 0.99, (N, tau)
+
+
 def test_double_scaling_signs_and_f1(sol):
     rep = fn.double_scaling_check(15.0, 113, sol)
     assert rep.signs_alternate
@@ -289,11 +303,43 @@ def test_build_preconditions():
         fn.build_op_table(0.1, 2)
 
 
-def test_precision_error_when_weight_support_collapses():
-    # degree-5 system on a weight alive at ~5 lattice points cannot hold
-    # orthogonality even in extended precision
+@pytest.mark.parametrize("M,N", [
+    (0.5, 8), (1.0, 16), (2.0, 32), (5.1, 64),   # Lanczos breakdown
+    (0.9, 11), (4.0, 48), (5.3, 64),             # top rows on subnormal weights
+])
+def test_op_table_refuses_unresolvable_weights(M, N):
+    # at (0.5, 8), (1.0, 16) and (2.0, 32) the top gammas hang on weights below
+    # the double range (150 digits miss them, 300 and 600 agree); without
+    # reorthogonalization (5.1, 64) and (5.3, 64) came out 1.7e4 and 5.7e3 x off
+    # without a warning, and without the rounding bound the last three
+    # returned gammas off by 1.1e-4, 3.2e-13 and 2.6e-9
     with pytest.raises(PrecisionError):
-        fn.build_op_table(0.5, 3)
+        fn.build_op_table(M, N)
+
+
+@pytest.mark.parametrize("M,N,dps", [
+    (6.0, 48, 60), (8.0, 64, 60),          # rows past 63, once off by 120x and 19x
+    (0.5, 3, 300), (0.5, 4, 300), (1.0, 8, 300), (2.5, 16, 300),  # once refused
+    (0.8, 4, 300), (1.6, 8, 300),          # once rerun in double-double
+])
+def test_op_table_matches_mp_oracle(M, N, dps):
+    model = fn.build_op_table(M, N)
+    ref = stieltjes_mp(M, 2 * N - 1, fn.suggested_n_max(M, 2 * N - 1), dps=dps)
+    assert np.max(np.abs(model.gamma[1:] / ref[1:] - 1.0)) <= 1e-13
+    assert model.orthonormality_defect <= 1e-14
+
+
+def test_op_table_finite_or_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (3, 8, 16, 48, 64):
+            for M in np.arange(0.5, 4.0 * math.sqrt(2.0 * N), 0.1):
+                try:
+                    model = fn.build_op_table(M, N)
+                except PrecisionError:
+                    continue
+                assert np.all(np.isfinite(model.gamma[1:])), (N, M)
+                assert np.all(np.isfinite(model.log_h)), (N, M)
 
 
 def test_g_domain_guards():

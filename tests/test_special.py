@@ -6,8 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from airymax import special
-from airymax.errors import (DomainError, IntegrandEvaluationError,
-                            MisconfigurationError, UnsupportedDegreeError)
+from airymax.errors import DomainError, IntegrandEvaluationError, MisconfigurationError
 
 from _oracles import airy_maclaurin_reference, airy_reference
 
@@ -88,43 +87,6 @@ def test_airy_underflow_is_silent_zero():
         warnings.simplefilter("error")
         assert special.airy_ai(200.0) == 0.0
         assert special.airy_ai_prime(200.0) == 0.0
-
-
-def test_hermite_values():
-    assert special.hermite(0, 7.3) == 1.0
-    assert special.hermite(3, 1.0) == -4.0
-    assert special.hermite(1, 2.5) == 5.0
-
-
-@given(st.integers(min_value=0, max_value=3), st.floats(-8, 8))
-def test_hermite_parity(k, z):
-    even = special.hermite(2 * k, z) - special.hermite(2 * k, -z)
-    odd = special.hermite(2 * k + 1, z) + special.hermite(2 * k + 1, -z)
-    scale = max(abs(special.hermite(2 * k, z)), 1.0)
-    assert abs(even) <= 1e-12 * scale
-    assert abs(odd) <= 1e-12 * max(abs(special.hermite(2 * k + 1, z)), 1.0)
-
-
-@pytest.mark.parametrize("k,z", [(10, 3.0), (60, 1.5), (120, 6.0), (199, 2.0), (80, 20.0)])
-def test_hermite_recurrence_residual(k, z):
-    hm, hc, hp = (special.hermite(k - 1, z), special.hermite(k, z),
-                  special.hermite(k + 1, z))
-    if max(abs(hm), abs(hc), abs(hp)) > 1e290:
-        pytest.skip("raw values exceed double range at this (k, z)")
-    resid = hp - 2 * z * hc + 2 * k * hm
-    assert abs(resid) <= 1e-9 * max(abs(2 * z * hc), abs(2 * k * hm), 1e-280)
-
-
-def test_hermite_degree_cap():
-    with pytest.raises(UnsupportedDegreeError):
-        special.hermite(301, 1.0)
-
-
-def test_hermite_fn_matches_raw():
-    z, k = 2.0, 6
-    raw = special.hermite(k, z) * np.exp(-0.5 * z * z) / np.sqrt(
-        2.0 ** k * 720.0 * np.sqrt(np.pi))
-    assert special.hermite_fn(k, z) == pytest.approx(raw, rel=1e-13)
 
 
 def test_quadrature_rule_invariants():
