@@ -9,12 +9,12 @@ Central objects:
   (4/pi^2) F1(s) int h(x, w) h(x, -w) dx with h = -(pi^2/2^{13/3}) f.
 * the rescaling hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t).
 
-Two independent evaluators for f are kept: the regularized quadrature (the
-defining integral; certified for w >= -0.5 on the s range of interest) and
-downward integration of the third-order ODE in s seeded at s = 12 from the
-closed Airy form, where the psi-function corrections are ~1e-12.  The two
-routes are cross-checked in the tests; grid-heavy consumers use the ODE
-transport, pointwise f_function uses the quadrature wherever it is certified.
+f has one production route: downward integration of its third-order ODE in
+s, seeded at s = 12 from the closed Airy form, where the psi-function
+corrections are ~1e-12.  f_function, the P(s, w) grids and the marginals all
+read this transport.  The regularized quadrature of the defining integral
+(_quad_f_batch) is kept as its independent oracle: the route cross-checks
+and the third-order ODE residual of the acceptance suite run on it.
 
 The transport is classical RK4.  The ODE is linear, so each step is a 3x3
 matrix per column that is known before the sweep: the step matrices are
@@ -43,7 +43,6 @@ JOINT_PREFACTOR = np.pi ** 2 / 2.0 ** (20.0 / 3.0)
 H_FROM_F = -np.pi ** 2 / TWO_133
 
 W_CAP = 6.0
-W_QUAD_FLOOR = -0.5       # regularized quadrature certified down to here
 S_SEED = 12.0             # ODE transport seeding point
 S_FLOOR = -10.5
 
@@ -288,35 +287,20 @@ def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
                     f=out[0], f_s=out[1], f_ss=out[2])
 
 
-def _quad_certified(s, w):
-    # empirical domain where the Richardson-extrapolated ladder is trusted
-    # to ~1e-4 absolute or better (see the route cross-checks in the tests)
-    if w >= 0.0:
-        return True
-    if w >= -0.25:
-        return s >= -3.5
-    if w >= W_QUAD_FLOOR:
-        return s >= -2.0
-    return False
+def f_function(s, w, psi=None, sol=None, with_error=False):
+    """f(s, w) by downward transport of the third-order ODE, read at the
+    grid node s.  (s, w) is checked at entry on the domain of joint_pdf.
 
-
-def f_function(s, w, psi, with_error=False):
-    """f(s, w) by the regularized zeta-integral where certified, else by
-    transport of the defining third-order ODE.  (s, w) is checked at entry
-    on the domain of joint_pdf."""
-    sol = _painleve_at(s, w, psi, None)
-    if _quad_certified(s, w):
-        if w >= 5.0:
-            val = float(_large_w_f([s], w, sol)[0])
-            err = 1e-10 * max(1.0, abs(val))
-        else:
-            vals, errs = _quad_f_batch([s], [w], sol, psi.zeta_nodes, psi.zeta_weights)
-            val, err = float(vals[0, 0]), float(errs[0, 0])
-    else:
-        prof = transport_profile([w], sol, s_lo=min(s, -0.5) - 0.25)
-        val = prof.value(s, w)
-        err = 3e-6 * max(1.0, abs(val))
-    return (val, err) if with_error else val
+    The error estimate is 3e-6 max(1, |f|), or the change from seeding the
+    transport one unit lower if that is larger, as it is for s <= -10.5 at
+    large w; that second transport runs only when with_error is set.
+    """
+    sol = _painleve_at(s, w, psi, sol)
+    val = float(transport_profile([w], sol, s_lo=s).f[0, 0])
+    if not with_error:
+        return val
+    reseeded = float(transport_profile([w], sol, s_lo=s, s_hi=S_SEED - 1.0).f[0, 0])
+    return val, max(3e-6 * max(1.0, abs(val)), abs(val - reseeded))
 
 
 def _tail_product(w, x_hi=26.0):
@@ -348,8 +332,8 @@ def _inner_product_integral(s, w, sol, profile_pair=None):
 
 def _painleve_at(s, w, psi, sol):
     """The Hastings-McLeod solution (sol, or else psi.painleve), after
-    checking (s, w) at entry: F1 needs s <= s_max - 2, the transport starts
-    0.25 below s, and |w| <= W_CAP."""
+    checking (s, w) at entry: F1 needs s <= s_max - 2, the transport of
+    joint_pdf starts 0.25 below s, and |w| <= W_CAP."""
     if sol is None:
         if psi is None:
             raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
@@ -421,6 +405,11 @@ def _nearest_node(grid, x, name):
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
                              w_max=6.0, w_step=0.1):
     """Tabulate P(s, w) on a product grid; w covers [-w_max, w_max]."""
+    if not (s_step > 0.0 and w_step > 0.0 and s_lo < s_hi and w_max >= 0.0):
+        raise DomainError("need s_step > 0, w_step > 0, s_lo < s_hi and w_max >= 0")
+    if not (sol.s_min + 0.5 <= s_lo and s_hi <= sol.s_max - 2.0):
+        raise RangeError(f"s range [{s_lo}, {s_hi}] outside "
+                         f"[{sol.s_min + 0.5}, {sol.s_max - 2.0}]")
     if s_step > 0.05 + 1e-12:
         raise ResolutionError("marginal accuracy requires s_step <= 0.05")
     w_pos = np.round(np.arange(0.0, w_max + w_step / 2, w_step), 12)

@@ -90,6 +90,8 @@ def cmd_jpdf(args):
 
 
 def cmd_marginal(args):
+    if not (args.w_step > 0 and args.w_max >= 0):
+        raise DomainError("need w_step > 0 and w_max >= 0")
     sol = _solution()
     grid = airy2.build_joint_density_grid(sol, w_max=max(args.w_max, 4.25))
     ws = np.round(np.arange(0.0, args.w_max + args.w_step / 2, args.w_step), 12)
@@ -120,6 +122,8 @@ def cmd_airy2(args):
 
 
 def cmd_finite_n(args):
+    if not (args.m_step > 0 and args.m_min <= args.m_max):
+        raise DomainError("need m_step > 0 and m_min <= m_max")
     sol = _solution()
     N = args.walkers
     rows = []
@@ -151,6 +155,8 @@ def cmd_finite_n(args):
 
 
 def cmd_ldev(args):
+    if not (args.c_step > 0 and args.u_step > 0):
+        raise DomainError("need c_step > 0 and u_step > 0")
     rows = []
     for c in np.round(np.arange(0.1, 1.001, args.c_step), 12):
         for u in np.round(np.arange(-0.4, 0.4001, args.u_step), 12):

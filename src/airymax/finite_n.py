@@ -385,9 +385,12 @@ def g_product_sum(model, u_values):
 
 
 def log_cdf_max(M, N, model=None):
-    """log F_N(M); the h-product is accumulated in log space."""
+    """log F_N(M); the h-product is accumulated in log space.  A model
+    built for another (M, N) raises DomainError."""
     if model is None:
         model = build_op_table(M, N)
+    if model.M != M or model.N != N:
+        raise DomainError(f"model built for (M, N) = ({model.M}, {model.N}), not ({M}, {N})")
     total = gammaln(N + 1) - sum(gammaln(2.0 + j) + gammaln(1.5 + j) for j in range(N))
     total += (2 * N * N + N) * math.log(math.pi) - (N * N + N / 2.0) * math.log(2.0)
     total -= (2 * N * N + N) * math.log(M)
@@ -401,15 +404,21 @@ def cdf_max_finite_n(M, N, model=None):
 
 
 def jpdf_finite_n(M, tau, N, model=None):
-    """P_N(M, tau): joint density of the maximum and its position."""
-    if not 0.0 < tau < 1.0:
+    """P_N(M, tau): joint density of the maximum and its position.
+
+    tau is a scalar (returns a float) or an array (returns an array of its
+    shape, from one G pass).  A model built for another (M, N) raises
+    DomainError.
+    """
+    tau_arr = np.asarray(tau, dtype=float)
+    if not np.all((tau_arr > 0.0) & (tau_arr < 1.0)):
         raise DomainError("tau must lie in (0, 1)")
     if model is None:
         model = build_op_table(M, N)
-    if model.N != N:
-        raise DomainError(f"model built for N = {model.N}, not {N}")
-    acc = float(g_product_sum(model, [tau - 0.5])[0])
-    return cdf_max_finite_n(M, N, model=model) * math.pi ** 2 / (2.0 * M ** 3) * acc
+    cdf = cdf_max_finite_n(M, N, model=model)
+    acc = g_product_sum(model, tau_arr.ravel() - 0.5).reshape(tau_arr.shape)
+    dens = cdf * math.pi ** 2 / (2.0 * M ** 3) * acc
+    return float(dens) if tau_arr.ndim == 0 else dens
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
 
     Returns (cdf_M callable, cdf_tau callable, pdf grid metadata).
     """
-    from .finite_n import build_op_table, cdf_max_finite_n, g_product_sum, log_cdf_max
+    from .finite_n import cdf_max_finite_n, jpdf_finite_n, log_cdf_max
 
     if m_cap is None:
         m_cap = 4.0 * np.sqrt(2.0 * N)
@@ -296,13 +296,9 @@ def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
     m_nodes = 0.5 * (m_lo + m_cap) + 0.5 * (m_cap - m_lo) * t_quad
     m_weights = 0.5 * (m_cap - m_lo) * w_quad
     tau_grid = np.linspace(0.0, 1.0, n_tau)
-    u_inner = tau_grid[1:-1] - 0.5
     pdf_tau = np.zeros((n_m, n_tau))
     for i, M in enumerate(m_nodes):
-        model = build_op_table(M, N)
-        acc = g_product_sum(model, u_inner)
-        pref = np.exp(log_cdf_max(M, N, model=model)) * np.pi ** 2 / (2.0 * M ** 3)
-        pdf_tau[i, 1:-1] = pref * acc
+        pdf_tau[i, 1:-1] = jpdf_finite_n(M, tau_grid[1:-1], N)
 
     m_table = np.linspace(m_lo, m_cap, 600)
     f_table = np.array([cdf_max_finite_n(v, N) for v in m_table])
@@ -329,7 +325,7 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
     against the exact finite-N density (N <= 3)."""
     if ensemble.N > 3:
         raise DomainError("exact comparison supported for N <= 3")
-    from .finite_n import build_op_table, g_product_sum, log_cdf_max
+    from .finite_n import jpdf_finite_n
 
     cdf_m, cdf_tau, meta = exact_marginals(ensemble.N)
     ks_m = ks_statistic(ensemble.maxima, cdf_m)
@@ -351,16 +347,13 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
         mm = np.linspace(edges_m[i], edges_m[i + 1], 9)[1::2]
         for j in range(n_cells):
             tt = np.linspace(edges_t[j], edges_t[j + 1], 9)[1::2]
+            inner = tt[(tt > 0.0) & (tt < 1.0)]
             acc = 0.0
             for M in mm:
                 try:
-                    model = build_op_table(M, ensemble.N)
+                    acc += float(np.sum(jpdf_finite_n(M, inner, ensemble.N)))
                 except (DomainError, PrecisionError):
                     continue  # density ~ e^-40 there
-                pref = np.exp(log_cdf_max(M, ensemble.N, model=model)) \
-                    * np.pi ** 2 / (2.0 * M ** 3)
-                inner = tt[(tt > 0.0) & (tt < 1.0)]
-                acc += pref * float(np.sum(g_product_sum(model, inner - 0.5)))
             area = (edges_m[i + 1] - edges_m[i]) * (edges_t[j + 1] - edges_t[j]) / 16.0
             expected[i, j] = acc * area * n
     if np.any(expected < min_expected):

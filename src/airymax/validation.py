@@ -10,9 +10,9 @@ from . import airy2, fredholm, mc
 from .errors import DomainError, PrecisionError
 from .finite_n import (ScalingCoordinates, build_op_table, cdf_max_finite_n,
                        double_scaling_check, f1_scaling_function, g_closed_form,
-                       g_function, g_plancherel_rotach, g_product_sum,
-                       jpdf_finite_n, large_deviation_eval, log_cdf_max)
-from .lax import psi_at_s, solve_psi_column
+                       g_function, g_plancherel_rotach, jpdf_finite_n,
+                       large_deviation_eval, log_cdf_max)
+from .lax import default_zeta_rule, psi_at_s, solve_psi_column
 from .painleve import tracy_widom_f1
 from .special import airy_ai
 
@@ -99,12 +99,13 @@ _D2 = np.array([0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0]) / 12.0
 _D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 
 
-def third_order_residual(sol, psi, w, s_points, h=0.3):
+def third_order_residual(sol, w, s_points, rule, h=0.3):
     """Scaled residual of the third-order ODE for f(., w) from the
-    regularized-quadrature route, derivatives by 4th-order stencils."""
+    regularized-quadrature oracle on the zeta rule, derivatives by
+    4th-order stencils."""
     offsets = np.arange(-3, 4) * h
     s_all = np.unique(np.round(np.add.outer(np.asarray(s_points), offsets).ravel(), 10))
-    vals, _ = airy2._quad_f_batch(s_all, [w], sol, psi.zeta_nodes, psi.zeta_weights)
+    vals, _ = airy2._quad_f_batch(s_all, [w], sol, rule.nodes, rule.weights)
     table = dict(zip(np.round(s_all, 10), vals[:, 0]))
     worst = 0.0
     for s0 in s_points:
@@ -145,10 +146,11 @@ def heat_pde_residual(sol, w_inner=np.round(np.arange(-1.0, 1.0001, 0.1), 10), h
 
 @_timed
 def criterion_4_f_structure(ctx):
-    sol, psi = ctx["sol"], ctx["psi"]
-    r0 = third_order_residual(sol, psi, 0.0, np.arange(-4.0, 4.01, 1.0))
-    rp = third_order_residual(sol, psi, 0.5, np.arange(0.5, 3.01, 0.5))
-    rm = third_order_residual(sol, psi, -0.5, np.arange(0.5, 3.01, 0.5))
+    sol = ctx["sol"]
+    rule = default_zeta_rule()
+    r0 = third_order_residual(sol, 0.0, np.arange(-4.0, 4.01, 1.0), rule)
+    rp = third_order_residual(sol, 0.5, np.arange(0.5, 3.01, 0.5), rule)
+    rm = third_order_residual(sol, -0.5, np.arange(0.5, 3.01, 0.5), rule)
     rpde = heat_pde_residual(sol)
     ok = max(r0, rp, rm) <= 1e-3 and rpde <= 1e-3
     return CriterionResult(4, "f(s,w) structure", ok,
@@ -158,14 +160,14 @@ def criterion_4_f_structure(ctx):
 
 @_timed
 def criterion_5_joint_density(ctx):
-    sol, psi, grid = ctx["sol"], ctx["psi"], ctx["grid"]
-    ident = abs(airy2.joint_pdf(0.0, 0.5, psi) - airy2.joint_pdf_h_form(0.0, 0.5, psi))
+    sol, grid = ctx["sol"], ctx["grid"]
+    ident = abs(airy2.joint_pdf(0.0, 0.5, sol=sol) - airy2.joint_pdf_h_form(0.0, 0.5, sol=sol))
     sym = float(np.max(np.abs(grid.values - grid.values[:, ::-1])))
     norm = grid.normalization_estimate
     worst_rel = 0.0
     for (s, w) in [(5.0, 0.5), (6.0, 1.0), (8.0, 2.0)]:
         closed = float(airy2.joint_pdf_large_s(s, w))
-        worst_rel = max(worst_rel, abs(airy2.joint_pdf(s, w, psi) / closed - 1.0))
+        worst_rel = max(worst_rel, abs(airy2.joint_pdf(s, w, sol=sol) / closed - 1.0))
     ok = (ident <= 1e-12 and sym <= 1e-12 and 0.99 <= norm <= 1.01
           and worst_rel <= 1e-2)
     return CriterionResult(5, "joint density", ok,
@@ -175,12 +177,12 @@ def criterion_5_joint_density(ctx):
 
 @_timed
 def criterion_6_mfqr(ctx):
-    psi = ctx["psi"]
+    sol = ctx["sol"]
     worst = 0.0
     vals = {}
     for (m, t) in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25)]:
         lhs = fredholm.mfqr_jpdf(m, t)
-        rhs = airy2.airy2_jpdf(m, t, psi)
+        rhs = airy2.airy2_jpdf(m, t, sol=sol)
         vals[f"({m},{t})"] = (lhs, rhs)
         worst = max(worst, abs(lhs - rhs))
     return CriterionResult(6, "MFQR equivalence", worst <= 1e-3,
@@ -234,14 +236,11 @@ def _normalization_finite_n(N, n_m=72, n_tau=72, u_half=0.496):
     mn = 0.5 * (m_lo + m_cap) + 0.5 * (m_cap - m_lo) * tm
     mw = 0.5 * (m_cap - m_lo) * wm
     tt, wt = np.polynomial.legendre.leggauss(n_tau)
-    un = u_half * tt
+    tau = 0.5 + u_half * tt
     uw = u_half * wt
     total = 0.0
     for M, wgt in zip(mn, mw):
-        model = build_op_table(M, N)
-        acc = g_product_sum(model, un)
-        pref = np.exp(log_cdf_max(M, N, model=model)) * np.pi ** 2 / (2.0 * M ** 3)
-        total += wgt * float(uw @ (pref * acc))
+        total += wgt * float(uw @ jpdf_finite_n(M, tau, N))
     return float(total)
 
 
@@ -359,12 +358,10 @@ ALL_CRITERIA = [
 
 def build_context(mc_samples=100000, grid_w_step=0.1):
     """Shared heavyweight objects for the criteria."""
-    from .lax import build_psi_grid, default_zeta_rule
     from .painleve import solve_hastings_mcleod
     sol = solve_hastings_mcleod()
-    psi = build_psi_grid(default_zeta_rule(), sol)
     grid = airy2.build_joint_density_grid(sol, w_step=grid_w_step)
-    return {"sol": sol, "psi": psi, "grid": grid, "mc_samples": mc_samples}
+    return {"sol": sol, "grid": grid, "mc_samples": mc_samples}
 
 
 def run_all(ctx=None, echo=print, subset=None):

@@ -12,9 +12,9 @@ from airymax import validation
 
 
 @pytest.fixture(scope="module")
-def ctx(sol, psi, joint_grid):
+def ctx(sol, joint_grid):
     samples = int(os.environ.get("AIRYMAX_MC_SAMPLES", "100000"))
-    return {"sol": sol, "psi": psi, "grid": joint_grid, "mc_samples": samples}
+    return {"sol": sol, "grid": joint_grid, "mc_samples": samples}
 
 
 def _run(fn, ctx):
@@ -75,3 +75,17 @@ def test_criterion_11_convergence_to_f1(ctx):
 def test_criterion_12_monte_carlo_oracle(ctx):
     res = _run(validation.criterion_12_mc_oracle, ctx)
     assert res.runtime <= 900.0
+
+
+def test_context_builds_no_psi_grid(monkeypatch):
+    # f, P(s, w) and the f oracle read only the Hastings-McLeod solution and
+    # the zeta rule; the criteria on f and P run without a psi grid
+    def fail(*args, **kwargs):
+        raise AssertionError("psi grid built")
+
+    monkeypatch.setattr("airymax.lax.build_psi_grid", fail)
+    ctx = validation.build_context(mc_samples=10)
+    assert "psi" not in ctx
+    for fn in (validation.criterion_4_f_structure, validation.criterion_5_joint_density,
+               validation.criterion_6_mfqr):
+        assert fn(ctx).passed

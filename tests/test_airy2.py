@@ -3,37 +3,62 @@ import pytest
 
 from airymax import airy2
 from airymax.errors import AirymaxError, DomainError, MisconfigurationError, RangeError
+from airymax.lax import default_zeta_rule
 from airymax.special import airy_ai_prime
 
 from _oracles import transport_profile_sequential
 
 
-def test_f_large_s_closed_form(psi):
+@pytest.fixture(scope="module")
+def zeta_rule():
+    return default_zeta_rule()
+
+
+def test_f_large_s_closed_form(sol):
     # at s = 8 the psi-function corrections are ~1e-12
-    val = airy2.f_function(8.0, 1.0, psi)
+    val = airy2.f_function(8.0, 1.0, sol=sol)
     assert val == pytest.approx(float(airy2.f_closed(8.0, 1.0)), rel=1e-2)
 
 
-def test_f_at_w_zero_large_s(psi):
+def test_f_at_w_zero_large_s(sol):
     target = -(8.0 / np.pi) * airy_ai_prime(8.0 / 2.0 ** (2.0 / 3.0))
-    assert airy2.f_function(8.0, 0.0, psi) == pytest.approx(target, rel=5e-3)
+    assert airy2.f_function(8.0, 0.0, sol=sol) == pytest.approx(target, rel=5e-3)
 
 
 @pytest.mark.parametrize("s,w,tol", [
     (2.0, 0.0, 1e-7), (0.0, 0.5, 1e-6), (-2.0, 1.26, 1e-5),
     (0.0, -0.25, 5e-6), (-2.0, -0.5, 2e-3),
 ])
-def test_route_cross_validation(psi, sol, s, w, tol):
-    # regularized quadrature against the downward ODE transport
-    vals, errs = airy2._quad_f_batch([s], [w], sol, psi.zeta_nodes, psi.zeta_weights)
-    prof = airy2.transport_profile([w], sol, s_lo=s - 0.3)
-    assert abs(vals[0, 0] - prof.value(s, w)) <= max(tol, 5 * errs[0, 0])
+def test_route_cross_validation(sol, zeta_rule, s, w, tol):
+    # the regularized-quadrature oracle against the transport of f_function
+    vals, errs = airy2._quad_f_batch([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)
+    assert abs(vals[0, 0] - airy2.f_function(s, w, sol=sol)) <= max(tol, 5 * errs[0, 0])
 
 
-def test_f_function_error_estimate(psi, sol):
-    val, err = airy2.f_function(0.0, -0.4, psi, with_error=True)
-    prof = airy2.transport_profile([-0.4], sol, s_lo=-0.5)
-    assert abs(val - prof.value(0.0, -0.4)) <= 10 * err + 1e-7
+def test_f_function_has_one_route(sol, zeta_rule, monkeypatch):
+    # the five f points of the benchmark's edge_points workload, against the
+    # quadrature oracles (the large-w rule at w = 5.5)
+    points = [(0.4, 0.9), (0.5, -0.3), (6.0, -1.0), (7.0, -2.0), (0.5, 5.5)]
+    oracle = [float(airy2._large_w_f([s], w, sol)[0]) if w >= 5.0 else
+              float(airy2._quad_f_batch([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)[0][0, 0])
+              for s, w in points]
+
+    def no_quadrature(*a, **k):
+        raise AssertionError("f_function took a quadrature route")
+    monkeypatch.setattr(airy2, "psi_at_s", no_quadrature)
+    monkeypatch.setattr(airy2, "_quad_f_batch", no_quadrature)
+    for (s, w), ref in zip(points, oracle):
+        assert abs(airy2.f_function(s, w, sol=sol) - ref) <= 2e-4
+
+
+@pytest.mark.parametrize("s,w", [(-11.75, 6.0), (-10.75, 5.0), (-8.0, 3.0),
+                                 (0.0, -0.4), (6.0, -1.0)])
+def test_f_function_error_estimate(sol, s, w):
+    # the estimate covers the change to a quarter-step transport, also at
+    # depth with large w, where reseeding moves f by more than 3e-6 |f|
+    val, err = airy2.f_function(s, w, sol=sol, with_error=True)
+    fine = airy2.transport_profile([w], sol, s_lo=s, step=0.000625)
+    assert abs(val - fine.f[0, 0]) <= err
 
 
 def test_transport_seed_insensitivity(sol):
@@ -71,7 +96,7 @@ def test_transport_columns_independent(sol):
             assert np.array_equal(getattr(alone, name)[:, 0], getattr(many, name)[:, j])
 
 
-def test_profile_value_outside_range_raises(psi, sol):
+def test_profile_value_outside_range_raises(sol):
     prof = airy2.transport_profile([-1.0], sol, s_lo=-0.75)
     assert prof.value(12.0, -1.0) == prof.f[-1, 0]
     for s in (14.0, 20.0, -1.0):
@@ -79,7 +104,7 @@ def test_profile_value_outside_range_raises(psi, sol):
             prof.value(s, -1.0)
     # the transport route of f_function must not return the s = 12 seed
     with pytest.raises(RangeError):
-        airy2.f_function(14.0, -1.0, psi)
+        airy2.f_function(14.0, -1.0, sol=sol)
 
 
 @pytest.mark.parametrize("s", [11.0, 12.5, -11.9, np.nan])
@@ -94,25 +119,25 @@ def test_joint_pdf_checks_s_at_entry(sol, monkeypatch, s):
 
 @pytest.mark.parametrize("s", [11.0, 12.5, -11.9, np.nan])
 @pytest.mark.parametrize("w", [1.0, -1.0])
-def test_f_function_checks_s_at_entry(psi, monkeypatch, s, w):
+def test_f_function_checks_s_at_entry(sol, monkeypatch, s, w):
     def no_work(*a, **k):
         raise AssertionError("f evaluated outside its domain")
     monkeypatch.setattr(airy2, "transport_profile", no_work)
     monkeypatch.setattr(airy2, "psi_at_s", no_work)
     with pytest.raises(RangeError):
-        airy2.f_function(s, w, psi)
+        airy2.f_function(s, w, sol=sol)
 
 
-def test_w_cap(psi):
+def test_w_cap(sol):
     with pytest.raises(DomainError):
-        airy2.f_function(0.0, 6.5, psi)
+        airy2.f_function(0.0, 6.5, sol=sol)
     with pytest.raises(DomainError):
-        airy2.transport_profile([7.0], psi.painleve)
+        airy2.transport_profile([7.0], sol)
 
 
-def test_formulation_identity(psi):
-    a = airy2.joint_pdf(0.0, 0.5, psi)
-    b = airy2.joint_pdf_h_form(0.0, 0.5, psi)
+def test_formulation_identity(sol):
+    a = airy2.joint_pdf(0.0, 0.5, sol=sol)
+    b = airy2.joint_pdf_h_form(0.0, 0.5, sol=sol)
     assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
 
@@ -125,10 +150,10 @@ def test_grid_normalization(joint_grid):
     assert 0.99 <= joint_grid.normalization_estimate <= 1.01
 
 
-def test_large_s_factorized_limit(psi):
+def test_large_s_factorized_limit(sol):
     for (s, w) in [(5.0, 0.5), (6.0, 1.0), (8.0, 2.0)]:
         closed = float(airy2.joint_pdf_large_s(s, w))
-        assert airy2.joint_pdf(s, w, psi) == pytest.approx(closed, rel=1e-2)
+        assert airy2.joint_pdf(s, w, sol=sol) == pytest.approx(closed, rel=1e-2)
 
 
 def test_marginal_symmetry(joint_grid):
@@ -171,9 +196,9 @@ def test_rescaling_constants():
     assert r.jacobian == 4.0
 
 
-def test_airy2_jpdf_symmetry_in_t(psi):
-    a = airy2.airy2_jpdf(0.5, 0.3, psi)
-    b = airy2.airy2_jpdf(0.5, -0.3, psi)
+def test_airy2_jpdf_symmetry_in_t(sol):
+    a = airy2.airy2_jpdf(0.5, 0.3, sol=sol)
+    b = airy2.airy2_jpdf(0.5, -0.3, sol=sol)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -184,12 +209,12 @@ def test_argmax_marginal_tail(joint_grid):
     assert abs(slope / (4.0 / 3.0) - 1.0) <= 0.15
 
 
-def test_inner_integral_convergence(psi, sol):
+def test_inner_integral_convergence(sol):
     # doubling the analytic tail window or refining the transport leaves
     # P(0, 0.5) unchanged at the 1e-6 level
-    base = airy2.joint_pdf(0.0, 0.5, psi)
+    base = airy2.joint_pdf(0.0, 0.5, sol=sol)
     prof_fine = airy2.transport_profile([0.5, -0.5], sol, s_lo=-0.75, step=0.00125)
-    fine = airy2.joint_pdf(0.0, 0.5, psi, profile_pair=prof_fine)
+    fine = airy2.joint_pdf(0.0, 0.5, sol=sol, profile_pair=prof_fine)
     wide_tail = airy2.JOINT_PREFACTOR * (
         airy2._inner_product_integral(0.0, 0.5, sol)
         + (airy2._tail_product(0.5, x_hi=38.0) - airy2._tail_product(0.5)))
@@ -229,6 +254,8 @@ def test_joint_density_grid_pdf_range():
 
 
 def test_joint_pdf_needs_a_solution():
+    with pytest.raises(MisconfigurationError):
+        airy2.f_function(0.0, 0.5)
     with pytest.raises(MisconfigurationError):
         airy2.joint_pdf(0.0, 0.5)
     with pytest.raises(MisconfigurationError):

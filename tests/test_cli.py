@@ -27,6 +27,18 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["jpdf", "--s-step", "0"], ["jpdf", "--w-step", "0"],
+    ["jpdf", "--s-min", "5", "--s-max", "-5"], ["jpdf", "--s-min", "20", "--s-max", "30"],
+    ["marginal", "--w-step", "0"], ["finite-n", "--m-step", "0"],
+    ["ldev", "--c-step", "0"], ["ldev", "--u-step", "-1"],
+])
+def test_grid_arguments_checked_at_entry(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "-o", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ldev_json_schema(tmp_path):
     out = str(tmp_path / "ldev.json")
     rc = main(["ldev", "-o", out, "--format", "json", "--c-step", "0.5",

@@ -165,6 +165,32 @@ def test_g_vector_entry_checks():
     assert abs(both[1, 1] / fn.g_function(model, 2, -0.2) - 1.0) <= 1e-14
 
 
+def test_model_for_another_m_or_n_raises():
+    # an M = 2 table once gave 9.0e-5 for P_3(3, 0.3) = 0.0252 and 3.1e-5
+    # for F_3(3) = 0.993
+    model = fn.build_op_table(2.0, 3)
+    with pytest.raises(DomainError):
+        fn.jpdf_finite_n(3.0, 0.3, 3, model=model)
+    with pytest.raises(DomainError):
+        fn.cdf_max_finite_n(3.0, 3, model=model)
+    with pytest.raises(DomainError):
+        fn.log_cdf_max(2.0, 2, model=model)
+    assert fn.jpdf_finite_n(3.0, 0.3, 3) == pytest.approx(0.0252, rel=2e-3)
+
+
+def test_jpdf_array_tau_matches_scalar():
+    model = fn.build_op_table(2.5, 3)
+    taus = np.array([[0.05, 0.3], [0.5, 0.95]])
+    dens = fn.jpdf_finite_n(2.5, taus, 3, model=model)
+    assert dens.shape == taus.shape
+    for tau, d in zip(taus.ravel(), dens.ravel()):
+        one = fn.jpdf_finite_n(2.5, tau, 3, model=model)
+        assert isinstance(one, float)
+        assert abs(d / one - 1.0) <= 1e-13
+    with pytest.raises(DomainError):
+        fn.jpdf_finite_n(2.5, [0.5, 1.0], 3, model=model)
+
+
 def test_plancherel_rotach_tail_window():
     # the edge form holds in the large-x tail of the double-scaling zone
     M, k = 15.0, 109
@@ -179,7 +205,7 @@ def test_plancherel_rotach_tail_window():
     assert g == pytest.approx(fn.g_plancherel_rotach(M, k, u), rel=0.05)
 
 
-def test_edge_limit_is_f(sol, psi):
+def test_edge_limit_is_f(sol):
     # at x ~ 0 the correct limit object is f(2^{2/3} x, 2^{7/3} v), not the
     # tail form; agreement at the expected O(M^{-2/3}) accuracy
     from airymax import airy2
@@ -194,7 +220,7 @@ def test_edge_limit_is_f(sol, psi):
     signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
     g = float(np.sum(signs * n * table[2 * k - 1]
                      * np.exp(-u * np.pi ** 2 * n ** 2 / (2.0 * M * M))))
-    f_val = airy2.f_function(2.0 ** (2.0 / 3.0) * x, 2.0 ** (7.0 / 3.0) * v, psi)
+    f_val = airy2.f_function(2.0 ** (2.0 / 3.0) * x, 2.0 ** (7.0 / 3.0) * v, sol=sol)
     assert g / M ** (5.0 / 3.0) == pytest.approx(-f_val, rel=2.0 * M ** (-2.0 / 3.0))
 
 
