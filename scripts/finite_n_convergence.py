@@ -4,19 +4,15 @@ plus the double-scaling behavior of the recursion coefficients."""
 
 import numpy as np
 
-from airymax import (cdf_max_finite_n, double_scaling_check,
-                     solve_hastings_mcleod, tracy_widom_f1)
-from airymax.finite_n import f1_scaling_function
+from airymax import double_scaling_check, solve_hastings_mcleod
+from airymax.finite_n import edge_law_convergence, f1_scaling_function
 
 
 def main():
     sol = solve_hastings_mcleod()
     print("sup |F_N(rescaled) - F1| over s in [-4, 2]:")
-    for N in (4, 8, 16, 32, 64):
-        sup = 0.0
-        for s in np.arange(-4.0, 2.001, 0.1):
-            M = np.sqrt(2.0 * N) * (1.0 + s / (2.0 ** (7.0 / 3.0) * N ** (2.0 / 3.0)))
-            sup = max(sup, abs(cdf_max_finite_n(M, N) - tracy_widom_f1(s, sol)))
+    _, sups = edge_law_convergence(sol, N_values=(4, 8, 16, 32, 64), s_step=0.1)
+    for N, sup in sups.items():
         print(f"  N={N:3d}: {sup:.5f}")
 
     print("\nrecursion-coefficient deviations at M = 15: leading scaling "

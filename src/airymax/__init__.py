@@ -6,10 +6,10 @@ f(s, w) and the joint density P(s, w) -> rescaled endpoint laws, with
 independent Fredholm/resolvent, brute-force and Monte-Carlo oracles.
 """
 
-from .airy2 import (AiryRescaling, JointDensityGrid, TailConstants, airy2_jpdf,
-                    argmax_marginal, build_joint_density_grid, f_closed,
-                    f_function, joint_pdf, joint_pdf_h_form, joint_pdf_large_s,
-                    marginal_w, tail_analysis, transport_profile)
+from .airy2 import (JointDensityGrid, TailConstants, airy2_jpdf, argmax_marginal,
+                    build_joint_density_grid, f_closed, f_function, joint_pdf,
+                    joint_pdf_h_form, joint_pdf_large_s, marginal_w, tail_analysis,
+                    transport_profile)
 from .fredholm import AiryKernelDiscretization, airy_kernel, f1_fredholm, mfqr_jpdf
 from .finite_n import (FiniteNModel, LargeDeviationPoint, ScalingCoordinates,
                        build_op_table, cdf_max_finite_n, double_scaling_check,
@@ -21,9 +21,7 @@ from .mc import (PathEnsemble, compare_to_exact, exact_marginals, extreme_stats,
                  ks_statistic, load_ensemble, sample_ensemble, save_ensemble)
 from .painleve import (PainleveSolution, left_tail_log_f1, log_tracy_widom_f1,
                        solve_hastings_mcleod, tracy_widom_f1)
-from .special import (QuadratureRule, RegularizedOscillatoryIntegral, airy_ai,
-                      airy_ai_prime, airy_both, gauss_legendre_rule,
-                      half_line_rule, integrate, oscillatory_rule,
-                      regularized_oscillatory_integral)
+from .special import (QuadratureRule, airy_ai, airy_ai_prime, airy_both,
+                      gauss_legendre_rule, half_line_rule, oscillatory_rule)
 
 __version__ = "0.1.0"

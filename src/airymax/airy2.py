@@ -11,10 +11,18 @@ Central objects:
 
 f has one production route: downward integration of its third-order ODE in
 s, seeded at s = 12 from the closed Airy form, where the psi-function
-corrections are ~1e-12.  f_function, the P(s, w) grids and the marginals all
-read this transport.  The regularized quadrature of the defining integral
-(_quad_f_batch) is kept as its independent oracle: the route cross-checks
-and the third-order ODE residual of the acceptance suite run on it.
+corrections are ~1e-12.  f_function reads this transport.  The regularized
+quadrature of the defining integral (_quad_f_batch) is kept as its
+independent oracle: the route cross-checks and the third-order ODE residual
+of the acceptance suite run on it.
+
+P(s, w) has one assembly, _density_columns, behind joint_pdf, the density
+grid and the off-grid marginals.  It transports the +-w columns once, down
+to the lowest s wanted, and accumulates int_s^inf f(x, w) f(x, -w) dx
+downward from the seed point by cumulative Simpson, plus the analytic tail
+above it.  Accumulating from the small end keeps the relative accuracy of
+the small densities at large s and |w|, which a total-minus-prefix sum
+loses to cancellation.
 
 The transport is classical RK4.  The ODE is linear, so each step is a 3x3
 matrix per column that is known before the sweep: the step matrices are
@@ -31,7 +39,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from .errors import (DomainError, MisconfigurationError, RangeError, ResolutionError,
                      TailRegularizationError)
 from .lax import psi_at_s
-from .painleve import log_tracy_widom_f1, tracy_widom_f1
+from .painleve import tracy_widom_f1
 from .special import airy_both, gauss_legendre_rule, neville_at_zero
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
@@ -45,15 +53,6 @@ H_FROM_F = -np.pi ** 2 / TWO_133
 W_CAP = 6.0
 S_SEED = 12.0             # ODE transport seeding point
 S_FLOOR = -10.5
-
-
-@dataclass(frozen=True)
-class AiryRescaling:
-    """Exact scaling between (s, w) and the (max, argmax) variables."""
-
-    alpha: float = TWO_23
-    beta: float = TWO_43
-    jacobian: float = 4.0
 
 
 def f_closed(s, w, derivatives=0):
@@ -310,30 +309,36 @@ def _tail_product(w, x_hi=26.0):
     return float(simpson(y, x=x))
 
 
-def _suffix_integrals(prof_w, prof_mw, s_grid):
-    prod = prof_w * prof_mw
-    cum = cumulative_simpson(prod, x=s_grid, initial=0.0)
-    return cum[-1] - cum
+def _density_columns(w_values, sol, s_points):
+    """P(s, w) at the ascending s_points for each w, shaped (n_s, n_w).
 
-
-def _inner_product_integral(s, w, sol, profile_pair=None):
-    """int_s^infty f(x, w) f(x, -w) dx from transport tables + analytic tail."""
-    if profile_pair is None:
-        profile_pair = transport_profile([w, -w], sol, s_lo=min(s, -0.5) - 0.25)
-    sg = profile_pair.s_grid
-    prod = profile_pair.f[:, 0] * profile_pair.f[:, 1]
-    mask = sg >= s - 1e-12
-    inner = simpson(prod[mask], x=sg[mask]) + _tail_product(w)
-    first = sg[mask][0]
-    if first > s:  # sliver between s and the first grid node
-        inner += 0.5 * (first - s) * (np.interp(s, sg, prod) + prod[mask][0])
-    return inner
+    One transport of the +-w columns ends at s_points[0].  Each column's
+    int_s^inf f(x, w) f(x, -w) dx is accumulated downward from S_SEED, where
+    the product is small, so a small P(s, w) is not the difference of two
+    large integrals; the analytic tail above S_SEED is added, and the sums
+    are read at the transport nodes of s_points.
+    """
+    w_values = np.asarray(w_values, dtype=float)
+    s_points = np.asarray(s_points, dtype=float)
+    cols, where = np.unique(np.concatenate([w_values, -w_values]), return_inverse=True)
+    prof = transport_profile(cols, sol, s_lo=s_points[0])
+    x_desc = -prof.s_grid[::-1]            # ascending in -s, from -S_SEED
+    f_desc = prof.f[::-1]
+    idx = len(x_desc) - 1 - np.searchsorted(prof.s_grid, s_points - 1e-9)
+    scale = JOINT_PREFACTOR * tracy_widom_f1(s_points, sol)
+    out = np.empty((len(s_points), len(w_values)))
+    n_w = len(w_values)
+    for j, w in enumerate(w_values):
+        prod = f_desc[:, where[j]] * f_desc[:, where[n_w + j]]
+        inner = cumulative_simpson(prod, x=x_desc, initial=0.0) + _tail_product(w)
+        out[:, j] = scale * inner[idx]
+    return out
 
 
 def _painleve_at(s, w, psi, sol):
     """The Hastings-McLeod solution (sol, or else psi.painleve), after
-    checking (s, w) at entry: F1 needs s <= s_max - 2, the transport of
-    joint_pdf starts 0.25 below s, and |w| <= W_CAP."""
+    checking (s, w) at entry: s_min + 0.25 <= s <= s_max - 2 (F1 needs the
+    upper bound) and |w| <= W_CAP."""
     if sol is None:
         if psi is None:
             raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
@@ -345,22 +350,21 @@ def _painleve_at(s, w, psi, sol):
     return sol
 
 
-def joint_pdf(s, w, psi=None, sol=None, profile_pair=None):
+def joint_pdf(s, w, psi=None, sol=None):
     """P(s, w) = (pi^2 / 2^{20/3}) F1(s) int_s^infty f(x, w) f(x, -w) dx.
 
     Reads only the Hastings-McLeod solution: sol, or else psi.painleve.
     """
     sol = _painleve_at(s, w, psi, sol)
-    inner = _inner_product_integral(s, w, sol, profile_pair)
-    return float(JOINT_PREFACTOR * tracy_widom_f1(s, sol) * inner)
+    return float(_density_columns([w], sol, [s])[0, 0])
 
 
-def joint_pdf_h_form(s, w, psi=None, sol=None, profile_pair=None):
-    """Same density via the h formulation (4/pi^2) F1 int h h; exercised by
-    the identity tests."""
+def joint_pdf_h_form(s, w, psi=None, sol=None):
+    """Same density via the h formulation (4/pi^2) F1 int h h, with
+    h = H_FROM_F f; exercised by the identity tests."""
     sol = _painleve_at(s, w, psi, sol)
-    inner = H_FROM_F ** 2 * _inner_product_integral(s, w, sol, profile_pair)
-    return float(4.0 / np.pi ** 2 * tracy_widom_f1(s, sol) * inner)
+    prefactor_ratio = 4.0 / np.pi ** 2 * H_FROM_F ** 2 / JOINT_PREFACTOR
+    return float(prefactor_ratio * _density_columns([w], sol, [s])[0, 0])
 
 
 def joint_pdf_large_s(s, w):
@@ -377,29 +381,13 @@ def joint_pdf_large_s(s, w):
 
 @dataclass(frozen=True)
 class JointDensityGrid:
-    """P(s, w) samples with the f tables they were assembled from."""
+    """P(s, w) samples on a product grid, with the solution they came from."""
 
     s_grid: np.ndarray
     w_grid: np.ndarray
     values: np.ndarray                 # (n_s, n_w)
-    f_cache: dict = field(repr=False)  # w -> f(., w) on x_grid
-    x_grid: np.ndarray = field(repr=False, default=None)
-    normalization_estimate: float = np.nan
-    quadrature_meta: dict = field(default_factory=dict)
+    normalization_estimate: float
     painleve: object = field(repr=False, default=None, compare=False)
-
-    def pdf(self, s, w):
-        """Value at the nearest grid node; RangeError more than half a step
-        outside the grid."""
-        return float(self.values[_nearest_node(self.s_grid, s, "s"),
-                                 _nearest_node(self.w_grid, w, "w")])
-
-
-def _nearest_node(grid, x, name):
-    half = 0.5 * (grid[1] - grid[0]) if len(grid) > 1 else 0.0
-    if not grid[0] - half <= x <= grid[-1] + half:
-        raise RangeError(f"{name} = {x} outside the grid [{grid[0]}, {grid[-1]}]")
-    return int(np.argmin(np.abs(grid - x)))
 
 
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
@@ -413,50 +401,23 @@ def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
     if s_step > 0.05 + 1e-12:
         raise ResolutionError("marginal accuracy requires s_step <= 0.05")
     w_pos = np.round(np.arange(0.0, w_max + w_step / 2, w_step), 12)
-    n_pos = len(w_pos)
-    prof = transport_profile(np.concatenate([w_pos, -w_pos[1:]]), sol, s_lo=s_lo - 0.5)
-    sg = prof.s_grid
     s_grid = np.round(np.arange(s_lo, s_hi + s_step / 2, s_step), 12)
-    idx = np.searchsorted(sg, s_grid - 1e-9)
-    w_grid = np.concatenate([-w_pos[::-1][:-1], w_pos])
-    values = np.empty((len(s_grid), len(w_grid)))
-    logf1 = log_tracy_widom_f1(s_grid, sol)
-    f_cache = {}
-    for jw, w in enumerate(w_pos):
-        col_w = prof.f[:, jw]
-        col_mw = prof.f[:, n_pos + jw - 1] if jw > 0 else col_w
-        suffix = _suffix_integrals(col_w, col_mw, sg) + _tail_product(w)
-        pvals = JOINT_PREFACTOR * np.exp(logf1) * suffix[idx]
-        values[:, n_pos - 1 + jw] = pvals
-        if jw > 0:
-            values[:, n_pos - 1 - jw] = pvals
-        f_cache[float(w)] = col_w
-        if jw > 0:
-            f_cache[float(-w)] = col_mw
-    grid = JointDensityGrid(
-        s_grid=s_grid, w_grid=w_grid, values=values, f_cache=f_cache, x_grid=sg,
-        normalization_estimate=np.nan,
-        quadrature_meta={"s_step": s_step, "w_step": w_step, "x_max": float(sg[-1]),
-                         "transport_step": float(sg[1] - sg[0])},
-        painleve=sol)
-    norm = _normalization(grid)
-    object.__setattr__(grid, "normalization_estimate", norm)
-    return grid
-
-
-def _normalization(grid):
-    per_w = simpson(grid.values, x=grid.s_grid, axis=0)
-    return float(simpson(per_w, x=grid.w_grid))
+    w_grid = np.concatenate([-w_pos[:0:-1], w_pos])
+    half = _density_columns(w_pos, sol, s_grid)
+    values = np.concatenate([half[:, :0:-1], half], axis=1)
+    norm = float(simpson(simpson(values, x=s_grid, axis=0), x=w_grid))
+    return JointDensityGrid(s_grid=s_grid, w_grid=w_grid, values=values,
+                            normalization_estimate=norm, painleve=sol)
 
 
 def marginal_w(w, grid):
     """P(w) = int P(s, w) ds over the grid plus the large-s analytic tail.
 
     w is a scalar (returns a float) or a 1-d array (returns an array).
-    On-grid columns reuse the cached tables; every off-grid +-w shares one
+    On-grid columns are read from the grid; every off-grid +-w shares one
     fresh transport, whose columns are independent of each other.
     """
-    if grid.quadrature_meta.get("s_step", 1.0) > 0.05 + 1e-12:
+    if grid.s_grid[1] - grid.s_grid[0] > 0.05 + 1e-12:
         raise ResolutionError("marginal accuracy requires s_step <= 0.05")
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     j = np.abs(grid.w_grid[None, :] - w_arr[:, None]).argmin(axis=1)
@@ -467,32 +428,19 @@ def marginal_w(w, grid):
     if len(off):
         if grid.painleve is None:
             raise RangeError(f"w = {off[0]} not on the grid and no solver attached")
-        sol = grid.painleve
-        prof = transport_profile(np.concatenate([off, -off]), sol, s_lo=grid.s_grid[0] - 0.5)
-        idx = np.searchsorted(prof.s_grid, grid.s_grid - 1e-9)
-        f1 = np.exp(log_tracy_widom_f1(grid.s_grid, sol))
-        n_off = len(off)
-        core_off = []
-        for i, wi in enumerate(off):
-            suffix = _suffix_integrals(prof.f[:, i], prof.f[:, n_off + i], prof.s_grid) \
-                + _tail_product(wi)
-            core_off.append(simpson(JOINT_PREFACTOR * f1 * suffix[idx], x=grid.s_grid))
-        core[~on] = core_off
+        core[~on] = simpson(_density_columns(off, grid.painleve, grid.s_grid),
+                            x=grid.s_grid, axis=0)
     s_tail = np.linspace(grid.s_grid[-1], grid.s_grid[-1] + 10.0, 801)
     tail = [simpson(joint_pdf_large_s(s_tail, abs(wi)), x=s_tail) for wi in w_arr]
     out = core + np.array(tail)
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
-def airy2_jpdf(m, t, psi=None, sol=None, grid=None):
+def airy2_jpdf(m, t, psi=None, sol=None):
     """Joint density of (max, argmax) of the Airy2 process minus a parabola:
-    hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t), from grid if given, else from
-    joint_pdf with sol (or psi.painleve)."""
-    resc = AiryRescaling()
-    s, w = resc.alpha * m, resc.beta * t
-    if grid is not None:
-        return resc.jacobian * grid.pdf(s, w)
-    return resc.jacobian * joint_pdf(s, w, psi, sol=sol)
+    hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t), by joint_pdf with sol (or
+    psi.painleve)."""
+    return 4.0 * joint_pdf(TWO_23 * m, TWO_43 * t, psi, sol=sol)
 
 
 def argmax_marginal(t, grid):

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import airy2, fredholm, mc
 from .errors import DomainError
-from .finite_n import build_op_table, cdf_max_finite_n, jpdf_finite_n, large_deviation_eval
+from .finite_n import (build_op_table, cdf_max_finite_n, edge_law_convergence, jpdf_finite_n,
+                       large_deviation_eval)
 from .painleve import solve_hastings_mcleod, tracy_widom_f1
 
 SCHEMA_VERSION = 1
@@ -135,22 +136,12 @@ def cmd_finite_n(args):
     _emit(args, ["M", "tau", "joint_density", "cdf_max"], rows, {
         "joint_density": f"exact joint density at N = {N}",
         "cdf_max": "cumulative distribution of the maximal height"})
-    conv_rows = []
-    sups = []
-    for NN in (8, 16, 32):
-        sup = 0.0
-        for s in np.arange(-4.0, 2.001, 0.2):
-            M = np.sqrt(2.0 * NN) * (1.0 + s / (2.0 ** (7.0 / 3.0) * NN ** (2.0 / 3.0)))
-            fn_val = cdf_max_finite_n(M, NN)
-            f1_val = float(tracy_widom_f1(s, sol))
-            conv_rows.append((NN, s, fn_val, f1_val, abs(fn_val - f1_val)))
-            sup = max(sup, abs(fn_val - f1_val))
-        sups.append((NN, sup))
+    conv_rows, sups = edge_law_convergence(sol)
     if args.convergence_output:
         write_csv(args.convergence_output,
                   ["N", "s", "cdf_rescaled", "f1", "abs_diff"], conv_rows)
     print("edge-law convergence sup-distance:",
-          "  ".join(f"N={n}: {d:.4f}" for n, d in sups))
+          "  ".join(f"N={n}: {d:.4f}" for n, d in sups.items()))
     return EXIT_OK
 
 

@@ -13,14 +13,6 @@ class RangeError(DomainError):
     """Argument outside the range covered by a precomputed solution."""
 
 
-class IntegrandEvaluationError(AirymaxError):
-    """Integrand returned a non-finite value; carries the offending node."""
-
-    def __init__(self, node, message=None):
-        self.node = node
-        super().__init__(message or f"integrand evaluation failed at node {node!r}")
-
-
 class SolverFailureError(AirymaxError):
     """Iterative solver failed to converge; carries the final residual."""
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, PrecisionError
+from .painleve import tracy_widom_f1
 from .special import airy_both
 
 # recurrence_table raises past this defect of psi_k against psi_0 or psi_1
@@ -403,6 +404,28 @@ def cdf_max_finite_n(M, N, model=None):
     return math.exp(log_cdf_max(M, N, model=model))
 
 
+def edge_law_convergence(sol, N_values=(8, 16, 32), s_step=0.2):
+    """Distance of the rescaled finite-N maximum law from the GOE edge law.
+
+    For each N and s in [-4, 2] by s_step, compares F_N(M) at
+    M = sqrt(2N) (1 + s / (2^{7/3} N^{2/3})) with F1(s).  Returns the rows
+    (N, s, F_N(M), F1(s), |difference|) and the sup of the difference per N.
+    """
+    rows = []
+    sups = {}
+    for N in N_values:
+        sup = 0.0
+        for s in np.arange(-4.0, 2.001, s_step):
+            M = np.sqrt(2.0 * N) * (1.0 + s / (2.0 ** (7.0 / 3.0) * N ** (2.0 / 3.0)))
+            fn_val = cdf_max_finite_n(M, N)
+            f1_val = float(tracy_widom_f1(s, sol))
+            diff = abs(fn_val - f1_val)
+            rows.append((N, s, fn_val, f1_val, diff))
+            sup = max(sup, diff)
+        sups[N] = sup
+    return rows, sups
+
+
 def jpdf_finite_n(M, tau, N, model=None):
     """P_N(M, tau): joint density of the maximum and its position.
 
@@ -466,7 +489,10 @@ class LargeDeviationPoint:
 
 
 def large_deviation_eval(c, u, M):
-    """Saddle data and rate function of the M >> sqrt(2N) regime."""
+    """Saddle data and rate function of the M >> sqrt(2N) regime; M must be
+    finite and positive."""
+    if not (math.isfinite(M) and M > 0.0):
+        raise DomainError("M must be finite and > 0")
     rho = 1.0 - 4.0 * u * u
     crho = c * rho
     if not 0.0 < c <= 1.0 + 1e-12:

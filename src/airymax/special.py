@@ -8,13 +8,12 @@ x ~ 104.  scipy returns NaN for non-finite x and for x < -2**20; both raise
 DomainError here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import airy as _scipy_airy
 
-from .errors import DomainError, IntegrandEvaluationError, MisconfigurationError, \
-    TailRegularizationError
+from .errors import DomainError, MisconfigurationError
 
 
 def _airy_pair(x):
@@ -103,37 +102,6 @@ def oscillatory_rule(zeta_max, freq_offset=12.0, pts=12, phase_per_panel=5.5, ma
     return composite_gauss_rule(np.array(edges), pts)
 
 
-def integrate(rule, f):
-    """Apply the rule to a callable (vectorized over the node array)."""
-    y = np.asarray(f(rule.nodes), dtype=float)
-    bad = ~np.isfinite(y)
-    if np.any(bad):
-        raise IntegrandEvaluationError(rule.nodes[bad][0])
-    return float(np.dot(rule.weights, y))
-
-
-@dataclass(frozen=True)
-class RegularizedOscillatoryIntegral:
-    """Cubic-damping regularization: multiply by exp(-eps |zeta|^3), eps -> 0+.
-
-    The epsilon sequence must decrease strictly to a positive floor; the
-    reported value is a Richardson (Neville-at-zero) extrapolation with an
-    error estimate from the last two extrapolants.
-    """
-
-    epsilon_sequence: tuple = (1e-2, 5e-3, 2.5e-3)
-    zeta_max: float = 23.0
-    order: int = field(default=3)
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilon_sequence)
-        object.__setattr__(self, "epsilon_sequence", eps)
-        if len(eps) < 2 or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-            raise MisconfigurationError("epsilon_sequence must decrease strictly to a floor > 0")
-        if self.order < 1 or self.order >= len(eps) + 1:
-            object.__setattr__(self, "order", len(eps) - 1)
-
-
 def neville_at_zero(eps, vals):
     """Polynomial extrapolation of (eps_j, vals_j) to eps = 0.
 
@@ -150,27 +118,3 @@ def neville_at_zero(eps, vals):
         diag.append(P[-1])
     err = np.abs(diag[-1] - diag[-2]) if n > 1 else np.full_like(np.asarray(diag[-1]), np.inf)
     return diag[-1], err
-
-
-def regularized_oscillatory_integral(f, reg=None, rule=None, rel_tol=1e-6):
-    """Evaluate int_0^inf f(z) dz for an oscillatory cubic-phase integrand.
-
-    Returns (value, error_estimate).  Raises TailRegularizationError when the
-    extrapolation column does not settle to the requested relative tolerance.
-    """
-    if reg is None:
-        reg = RegularizedOscillatoryIntegral()
-    if rule is None:
-        rule = oscillatory_rule(reg.zeta_max)
-    y = np.asarray(f(rule.nodes), dtype=float)
-    bad = ~np.isfinite(y)
-    if np.any(bad):
-        raise IntegrandEvaluationError(rule.nodes[bad][0])
-    z3 = rule.nodes ** 3
-    vals = [np.dot(rule.weights, y * np.exp(-e * z3)) for e in reg.epsilon_sequence]
-    value, err = neville_at_zero(reg.epsilon_sequence, vals)
-    scale = max(abs(float(value)), 1e-300)
-    if not np.isfinite(value) or err / scale > 10.0 * max(rel_tol, 1e-12):
-        raise TailRegularizationError({"value": float(value), "error": float(err),
-                                       "epsilons": reg.epsilon_sequence})
-    return float(value), float(err)

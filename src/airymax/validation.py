@@ -8,8 +8,8 @@ import numpy as np
 
 from . import airy2, fredholm, mc
 from .errors import DomainError, PrecisionError
-from .finite_n import (ScalingCoordinates, build_op_table, cdf_max_finite_n,
-                       double_scaling_check, f1_scaling_function, g_closed_form,
+from .finite_n import (ScalingCoordinates, build_op_table, double_scaling_check,
+                       edge_law_convergence, f1_scaling_function, g_closed_form,
                        g_function, g_plancherel_rotach, jpdf_finite_n,
                        large_deviation_eval, log_cdf_max)
 from .lax import default_zeta_rule, psi_at_s, solve_psi_column
@@ -310,13 +310,7 @@ def criterion_10_double_scaling(ctx):
 @_timed
 def criterion_11_fn_convergence(ctx):
     sol = ctx["sol"]
-    sups = {}
-    for N in (8, 16, 32):
-        sup = 0.0
-        for s in np.arange(-4.0, 2.001, 0.2):
-            M = np.sqrt(2.0 * N) * (1.0 + s / (2.0 ** (7.0 / 3.0) * N ** (2.0 / 3.0)))
-            sup = max(sup, abs(cdf_max_finite_n(M, N) - tracy_widom_f1(s, sol)))
-        sups[N] = float(sup)
+    _, sups = edge_law_convergence(sol)
     ok = sups[8] > sups[16] > sups[32] and sups[32] <= 0.1
     return CriterionResult(11, "convergence to F1", ok, {"sup_distances": sups})
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from airymax import airy2
-from airymax.errors import AirymaxError, DomainError, MisconfigurationError, RangeError
+from airymax.errors import (AirymaxError, DomainError, MisconfigurationError, RangeError,
+                            ResolutionError)
 from airymax.lax import default_zeta_rule
 from airymax.special import airy_ai_prime
 
@@ -146,6 +147,45 @@ def test_grid_symmetry_and_positivity(joint_grid):
     assert joint_grid.values.min() >= -1e-10
 
 
+def test_grid_equals_joint_pdf_at_nodes(sol, joint_grid):
+    # one assembly: the grid's columns are joint_pdf's, also where P is tiny
+    # (s >= 5 with |w| >= 3.5, down to ~1e-22)
+    for s in (-9.5, -2.0, 0.0, 5.0, 6.5, 8.0):
+        i = int(np.argmin(np.abs(joint_grid.s_grid - s)))
+        for w in (-6.0, -4.5, -3.5, 0.0, 0.7, 3.5, 5.0, 6.0):
+            j = int(np.argmin(np.abs(joint_grid.w_grid - w)))
+            ref = airy2.joint_pdf(joint_grid.s_grid[i], joint_grid.w_grid[j], sol=sol)
+            assert abs(joint_grid.values[i, j] - ref) <= 1e-12 * ref, (s, w)
+
+
+def test_grid_large_s_matches_closed_form(joint_grid):
+    # every entry with s >= 5 against the factorized large-s form; at s = 5
+    # the psi-function corrections are ~1e-5 (measured: <= 6.7e-6)
+    rows = joint_grid.s_grid >= 5.0
+    s, w = np.meshgrid(joint_grid.s_grid[rows], joint_grid.w_grid, indexing="ij")
+    closed = airy2.joint_pdf_large_s(s, w)
+    assert np.all(np.abs(joint_grid.values[rows] / closed - 1.0) <= 1e-4)
+
+
+def test_one_transport_per_density_call(sol, monkeypatch):
+    calls = []
+    transport = airy2.transport_profile
+    monkeypatch.setattr(airy2, "transport_profile",
+                        lambda w, *a, **k: calls.append(len(w)) or transport(w, *a, **k))
+    airy2.build_joint_density_grid(sol, s_lo=-2.0, s_hi=2.0, w_max=1.0, w_step=0.25)
+    assert calls == [9]          # w = 0, +-0.25, ..., +-1: one column each
+    calls.clear()
+    airy2.joint_pdf(0.3, 0.7, sol=sol)
+    assert calls == [2]
+
+
+def test_marginal_checks_grid_step(joint_grid):
+    coarse = airy2.JointDensityGrid(s_grid=joint_grid.s_grid[::2], w_grid=joint_grid.w_grid,
+                                    values=joint_grid.values[::2], normalization_estimate=1.0)
+    with pytest.raises(ResolutionError):
+        airy2.marginal_w(0.5, coarse)
+
+
 def test_grid_normalization(joint_grid):
     assert 0.99 <= joint_grid.normalization_estimate <= 1.01
 
@@ -191,9 +231,7 @@ def test_marginal_tail_slope(joint_grid):
 
 
 def test_rescaling_constants():
-    r = airy2.AiryRescaling()
-    assert r.alpha * r.beta == pytest.approx(4.0, abs=0.0)
-    assert r.jacobian == 4.0
+    assert airy2.TWO_23 * airy2.TWO_43 == 4.0
 
 
 def test_airy2_jpdf_symmetry_in_t(sol):
@@ -209,17 +247,20 @@ def test_argmax_marginal_tail(joint_grid):
     assert abs(slope / (4.0 / 3.0) - 1.0) <= 0.15
 
 
-def test_inner_integral_convergence(sol):
+def test_inner_integral_convergence(sol, monkeypatch):
     # doubling the analytic tail window or refining the transport leaves
     # P(0, 0.5) unchanged at the 1e-6 level
     base = airy2.joint_pdf(0.0, 0.5, sol=sol)
-    prof_fine = airy2.transport_profile([0.5, -0.5], sol, s_lo=-0.75, step=0.00125)
-    fine = airy2.joint_pdf(0.0, 0.5, sol=sol, profile_pair=prof_fine)
-    wide_tail = airy2.JOINT_PREFACTOR * (
-        airy2._inner_product_integral(0.0, 0.5, sol)
-        + (airy2._tail_product(0.5, x_hi=38.0) - airy2._tail_product(0.5)))
-    from airymax.painleve import tracy_widom_f1
-    wide = wide_tail * tracy_widom_f1(0.0, sol)
+    transport, tail = airy2.transport_profile, airy2._tail_product
+    with monkeypatch.context() as m:
+        m.setattr(airy2, "transport_profile",
+                  lambda w, sol, **k: transport(w, sol, step=0.00125, **k))
+        fine = airy2.joint_pdf(0.0, 0.5, sol=sol)
+    widened = []
+    with monkeypatch.context() as m:
+        m.setattr(airy2, "_tail_product", lambda w: widened.append(w) or tail(w, x_hi=38.0))
+        wide = airy2.joint_pdf(0.0, 0.5, sol=sol)
+    assert fine != base and widened == [0.5]
     assert abs(base - fine) <= 1e-6
     assert abs(base - wide) <= 1e-6
 
@@ -239,18 +280,6 @@ def test_tail_constants(sol, joint_grid):
 def test_tail_envelope_band(sol, joint_grid):
     const, report = airy2.tail_analysis(sol, joint_grid)
     assert all(0.5 <= r <= 2.0 for r in report.values())
-
-
-def test_joint_density_grid_pdf_range():
-    s_grid = np.linspace(-2.0, 2.0, 41)
-    w_grid = np.linspace(-1.0, 1.0, 21)
-    values = np.add.outer(s_grid, 10.0 * w_grid)
-    grid = airy2.JointDensityGrid(s_grid=s_grid, w_grid=w_grid, values=values, f_cache={})
-    assert grid.pdf(0.52, -0.31) == values[25, 7]
-    assert grid.pdf(2.04, 1.04) == values[-1, -1]      # within half a step
-    for s, w in [(50.0, 5.0), (2.06, 0.0), (0.0, -1.06), (np.nan, 0.0)]:
-        with pytest.raises(RangeError):
-            grid.pdf(s, w)
 
 
 def test_joint_pdf_needs_a_solution():

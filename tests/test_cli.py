@@ -39,6 +39,14 @@ def test_grid_arguments_checked_at_entry(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("M", ["-1", "0", "nan", "inf"])
+def test_ldev_refuses_nonpositive_or_nonfinite_m(tmp_path, M):
+    # the rate function describes M >> sqrt(2N) > 0; -M would repeat M's table
+    out = tmp_path / "ldev.csv"
+    assert main(["ldev", "--M", M, "-o", str(out), "--c-step", "0.5", "--u-step", "0.4"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ldev_json_schema(tmp_path):
     out = str(tmp_path / "ldev.json")
     rc = main(["ldev", "-o", out, "--format", "json", "--c-step", "0.5",

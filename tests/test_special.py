@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from airymax import special
-from airymax.errors import DomainError, IntegrandEvaluationError, MisconfigurationError
+from airymax.errors import DomainError, MisconfigurationError
 
 from _oracles import airy_maclaurin_reference, airy_reference
 
@@ -91,7 +91,7 @@ def test_airy_underflow_is_silent_zero():
 
 def test_quadrature_rule_invariants():
     rule = special.gauss_legendre_rule(-1.5, 2.5, 40)
-    assert special.integrate(rule, lambda x: np.ones_like(x)) == pytest.approx(4.0, rel=1e-13)
+    assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(4.0, rel=1e-13)
     with pytest.raises(MisconfigurationError):
         special.QuadratureRule(np.array([0.0, 0.0, 1.0]), np.ones(3), (0, 1))
     with pytest.raises(MisconfigurationError):
@@ -102,47 +102,39 @@ def test_quadrature_rule_invariants():
 @given(st.integers(min_value=0, max_value=9))
 def test_gauss_rule_poly_exactness(degree):
     rule = special.gauss_legendre_rule(0.0, 1.0, 8)   # exact through degree 15
-    val = special.integrate(rule, lambda x: (degree + 1) * x ** degree)
+    val = rule.weights @ ((degree + 1) * rule.nodes ** degree)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_half_line_rule():
     rule = special.half_line_rule(60)
-    assert special.integrate(rule, lambda x: np.exp(-x)) == pytest.approx(1.0, abs=1e-10)
+    assert rule.weights @ np.exp(-rule.nodes) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_integrand_error_names_node():
-    rule = special.gauss_legendre_rule(0.0, 1.0, 8)
-    with pytest.raises(IntegrandEvaluationError) as err:
-        special.integrate(rule, lambda x: np.where(x > 0.5, np.nan, x))
-    assert err.value.node > 0.5
+def _damped_ladder(f, eps, rule):
+    """Neville-at-zero extrapolation of the rule applied to f e^{-eps t^3}
+    over the epsilon ladder; returns (value, error estimate)."""
+    y = f(rule.nodes)
+    vals = [rule.weights @ (y * np.exp(-e * rule.nodes ** 3)) for e in eps]
+    val, err = special.neville_at_zero(eps, vals)
+    return float(val), float(err)
 
 
 def test_oscillatory_regularized_integral():
     # int_0^inf t sin(t^3/3 + 2 t) dt = -pi Ai'(2)
-    reg = special.RegularizedOscillatoryIntegral((2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3),
-                                                 zeta_max=29.0)
     rule = special.oscillatory_rule(29.0, freq_offset=2.0)
-    val, err = special.regularized_oscillatory_integral(
-        lambda t: t * np.sin(t ** 3 / 3.0 + 2.0 * t), reg, rule)
+    val, err = _damped_ladder(lambda t: t * np.sin(t ** 3 / 3.0 + 2.0 * t),
+                              (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3), rule)
     target = -np.pi * special.airy_ai_prime(2.0)
+    assert err <= 1e-5 * abs(val)     # the ladder settles (relative tolerance 1e-6, x10)
     assert abs(val - target) < 1e-8
     assert abs(val - target) < 10.0 * max(err, 1e-12)
 
 
 def test_oscillatory_stable_under_zeta_max_doubling():
-    reg1 = special.RegularizedOscillatoryIntegral((2e-2, 1e-2, 5e-3), zeta_max=25.0)
-    reg2 = special.RegularizedOscillatoryIntegral((2e-2, 1e-2, 5e-3), zeta_max=50.0)
+    eps = (2e-2, 1e-2, 5e-3)
     f = lambda t: t * np.sin(t ** 3 / 3.0 + 1.0 * t)
-    v1, e1 = special.regularized_oscillatory_integral(
-        f, reg1, special.oscillatory_rule(25.0, freq_offset=1.0), rel_tol=1e-3)
-    v2, e2 = special.regularized_oscillatory_integral(
-        f, reg2, special.oscillatory_rule(50.0, freq_offset=1.0), rel_tol=1e-3)
+    v1, e1 = _damped_ladder(f, eps, special.oscillatory_rule(25.0, freq_offset=1.0))
+    v2, e2 = _damped_ladder(f, eps, special.oscillatory_rule(50.0, freq_offset=1.0))
+    assert e1 <= 1e-2 * abs(v1) and e2 <= 1e-2 * abs(v2)   # relative tolerance 1e-3, x10
     assert abs(v1 - v2) <= 3.0 * (e1 + e2) + 1e-10
-
-
-def test_epsilon_sequence_validation():
-    with pytest.raises(MisconfigurationError):
-        special.RegularizedOscillatoryIntegral((1e-3, 1e-2))
-    with pytest.raises(MisconfigurationError):
-        special.RegularizedOscillatoryIntegral((1e-2, -1e-3))
