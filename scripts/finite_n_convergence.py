@@ -11,7 +11,7 @@ from airymax.finite_n import edge_law_convergence, f1_scaling_function
 def main():
     sol = solve_hastings_mcleod()
     print("sup |F_N(rescaled) - F1| over s in [-4, 2]:")
-    _, sups = edge_law_convergence(sol, N_values=(4, 8, 16, 32, 64), s_step=0.1)
+    _, sups = edge_law_convergence(sol, N_values=(4, 8, 16, 32, 64, 128, 256), s_step=0.1)
     for N, sup in sups.items():
         print(f"  N={N:3d}: {sup:.5f}")
 

@@ -337,16 +337,18 @@ def _density_columns(w_values, sol, s_points):
 
 def _painleve_at(s, w, psi, sol):
     """The Hastings-McLeod solution (sol, or else psi.painleve), after
-    checking (s, w) at entry: s_min + 0.25 <= s <= s_max - 2 (F1 needs the
-    upper bound) and |w| <= W_CAP."""
+    checking (s, w) at entry: s_min + 0.25 <= s <= min(s_max - 2, S_SEED)
+    (F1 needs the first bound, the downward transport from S_SEED the
+    second) and |w| <= W_CAP."""
     if sol is None:
         if psi is None:
             raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
         sol = psi.painleve
     if not abs(w) <= W_CAP:
         raise DomainError(f"|w| <= {W_CAP} required")
-    if not sol.s_min + 0.25 <= s <= sol.s_max - 2.0:
-        raise RangeError(f"s = {s} outside [{sol.s_min + 0.25}, {sol.s_max - 2.0}]")
+    s_top = min(sol.s_max - 2.0, S_SEED)
+    if not sol.s_min + 0.25 <= s <= s_top:
+        raise RangeError(f"s = {s} outside [{sol.s_min + 0.25}, {s_top}]")
     return sol
 
 

@@ -3,12 +3,13 @@ lattice with weight exp(-pi^2 n^2 / (2 M^2)), the alternating G sums, the
 joint density of (max height, argmax time) for N non-intersecting excursions,
 its cumulative in M, and the large-M asymptotic cross-checks.
 
-The Stieltjes construction runs on orthonormal wave functions so every
-intermediate stays O(1); norms are tracked as log h_k.  build_op_table
-reorthogonalizes in floats and raises PrecisionError where double precision
-cannot resolve its table (degree <= 127).  recurrence_table
-holds each value as a float mantissa times a per-n power of two, since its
-high degrees need exponent range below the weight's underflow, not digits.
+One Stieltjes kernel serves build_op_table (degree 2N - 1, N <= 256) and
+recurrence_table (any degree the lattice supports).  It runs on orthonormal
+wave functions, each value a float mantissa times a per-n power of two, so
+wave functions reaching past the weight's underflow need no extra digits;
+norms are tracked as log h_k.  It reorthogonalizes within each parity only
+where Simon's omega recurrence or a cancelling three-term step calls for it,
+and raises PrecisionError only at Lanczos breakdown.
 The alternating G sums cancel to about exp(-M^2/(1+2u)) of their term scale,
 far beyond double precision once M^2/(1+2u) passes ~35.  Where they cancel,
 G is taken from their Poisson dual: a sum of a few Hermite-function terms
@@ -26,20 +27,13 @@ from .errors import DomainError, PrecisionError
 from .painleve import tracy_widom_f1
 from .special import airy_both
 
-# recurrence_table raises past this defect of psi_k against psi_0 or psi_1
-EXTENDED_DEFECT_LIMIT = 1e-8
-
-# build_op_table's guards, set on N in {1..16, 20, 24, 32, 48, 64} x M step 0.1.
-# The smallest residual share of a table was >= 5.7e-17 or <= 3.8e-23 (gammas
-# off by O(1) or beyond 300 digits).  The rounding bound was <= 3.7e-15 but at
-# (N, M) = (48, 4.0), (64, 5.3), (11, 0.9): 1.9e-11, 2.6e-7, 7.0e-4, with gammas
-# off by 3.2e-13, 2.6e-9, 1.1e-4.  Every table passing both matched a 300-digit
-# Stieltjes to 1.1e-13.
-_BREAKDOWN_SHARE = 1e-18
-_WEIGHT_ROUNDING_LIMIT = 1e-13
-_ONE_PASS_SHARE = math.sqrt(0.5)
-_TINY = np.finfo(float).tiny        # weights below it are subnormal ...
-_SUBNORMAL_ULP = 2.0 ** -1074       # ... and known to this absolute error
+_EPS = np.finfo(float).eps
+_SEMI_ORTHOGONAL = math.sqrt(_EPS)     # omega bound of partial reorthogonalization
+_ORTHOGONAL = _EPS ** 0.75             # overlap left by a reorthogonalization
+_MAX_PASSES = 4                        # projections per reorthogonalization
+_CANCELLED = 1e-2                      # gamma_k / gamma_{k-1} below this projects y
+_BREAKDOWN_SHARE = 1e-18               # less of the residual left is rounding noise
+_DRIFT = 300.0                         # log2 range of the unreset mantissas
 
 
 def suggested_n_max(M, deg_max):
@@ -53,87 +47,110 @@ def suggested_n_max(M, deg_max):
     return int(math.ceil(max(8.0 * M + 50.0, 1.8 * n_peak + 50.0)))
 
 
-def _stieltjes_float(n, w, deg_max):
-    """Orthonormal wave functions psi_k = phat_k sqrt(w), k <= deg_max, by the
-    Stieltjes procedure with full reorthogonalization: each residual y is
-    projected off the stored rows of its parity (w is even, so the others are
-    orthogonal to y exactly), again where the first pass keeps less than
-    _ONE_PASS_SHARE of it (Kahan's "twice is enough"; Parlett, The Symmetric
-    Eigenvalue Problem, sec. 6.9).  PrecisionError is raised, before any
-    division, where less than _BREAKDOWN_SHARE of y remains (Lanczos
-    breakdown), and where rounding the subnormal weights may move a gamma by
-    more than _WEIGHT_ROUNDING_LIMIT, to first order
-    delta log h_k = sum_n psi_k(n)^2 delta w(n)/w(n).
+def _norm(mantissa, exponent):
+    v = np.ldexp(mantissa, exponent)
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def _stieltjes(M, n_max, deg_max):
+    """log h_0 and gamma_k (k <= deg_max) of the lattice weight
+    w(n) = exp(-pi^2 n^2/(2 M^2)), |n| <= n_max, by the Stieltjes procedure
+    (Gautschi 2004) on the orthonormal wave functions psi_k = phat_k sqrt(w):
+    gamma_{k+1} psi_{k+1} = n psi_k - gamma_k psi_{k-1}.
+
+    psi_k has the parity of k, so the kernel runs on n >= 0 with psi scaled
+    by sqrt(2) off n = 0, where same-parity inner products are plain dots.
+    Each value is a float mantissa times a per-n power of two shared by the
+    two carried rows: the three-term step acts pointwise, so wave functions
+    reaching past the weight's underflow stay exact to rounding.  The
+    exponents are reset from the mantissas wherever a scalar bound on their
+    growth or decay since the last reset leaves [2^-_DRIFT, 2^_DRIFT].  The
+    normalized rows are also kept as plain floats, for projections only.
+
+    Orthogonality to earlier rows of the same parity is estimated by Simon's
+    omega recurrence (Math. Comp. 42, 1984).  Where the estimate passes
+    sqrt(eps), for that row and the next, and where the three-term step
+    cancels (gamma_{k+1} below _CANCELLED gamma_k, which the estimate does
+    not model), the residual's overlaps with the stored rows of its parity
+    are measured and subtracted until they fall below eps^(3/4) of its norm.
+    Twice is usually enough (Parlett, The Symmetric Eigenvalue Problem,
+    sec. 6.9), but the stored rows are only semi-orthogonal, and after a
+    deep cancellation a third pass can be needed.  Where less than
+    _BREAKDOWN_SHARE of the residual remains it is rounding noise (Lanczos
+    breakdown: the weight lives on too few lattice points for the degree)
+    and PrecisionError is raised.
     """
-    h0 = float(np.sum(w))
-    psi = np.sqrt(w) / math.sqrt(h0)
-    psi_prev = np.zeros_like(psi)
-    gammas = np.full(deg_max + 1, np.nan)
-    table = np.empty((deg_max + 1, len(n)))
-    table[0] = psi
-    g_prev = 0.0
-    for k in range(1, deg_max + 1):
-        y = n * psi - g_prev * psi_prev
-        y_norm = g = math.sqrt(np.dot(y, y))
-        rows = table[k % 2:k:2]
-        for _ in range(2 if k > 1 else 0):   # y = n psi_0 is odd: nothing to project
-            y -= np.dot(np.dot(rows, y), rows)
-            g, g_in = math.sqrt(np.dot(y, y)), g
-            if g >= _ONE_PASS_SHARE * g_in:
-                break
-        if not g > _BREAKDOWN_SHARE * y_norm:
-            raise PrecisionError(
-                f"Stieltjes breakdown at degree {k}: reorthogonalization left "
-                f"{g / y_norm:.1e} of the residual")
-        psi_prev, psi = psi, y / g
-        gammas[k] = g
-        table[k] = psi
-        g_prev = g
-    sub = w < _TINY                      # every row vanishes where w = 0
-    rel_err = _SUBNORMAL_ULP / np.maximum(w[sub], _SUBNORMAL_ULP)
-    bound = float((np.square(table[:, sub]) @ rel_err).max(initial=0.0))
-    if bound > _WEIGHT_ROUNDING_LIMIT:
-        raise PrecisionError(
-            f"wave functions rest on subnormal weights: gammas uncertain to {bound:.1e}")
-    return h0, gammas, table
-
-
-def _stieltjes_extended(n, M, deg_max):
-    """gamma_k of the half-weight exp(-pi^2 n^2/(4 M^2)) Stieltjes procedure
-    (Gautschi 2004), each wave-function value held as mantissa * 2**e(n).
-
-    The three-term step acts pointwise in n, so the per-n scale is exact; only
-    the norms sum over n.  The gammas stay within ~defect^2 of exact, so a
-    defect of psi_k against psi_0 or psi_1 above EXTENDED_DEFECT_LIMIT (the
-    Lanczos instability past degree ~M^2) raises PrecisionError.
-    """
-    log2_w = -(np.pi ** 2 / (4.0 * M * M * math.log(2.0))) * n * n
-    e = np.ceil(log2_w)
-    psi = np.exp2(log2_w - e)
+    n = np.arange(n_max + 1, dtype=float)
+    log2_sqw = -(np.pi ** 2 / (4.0 * M * M * math.log(2.0))) * n * n
+    e = np.ceil(log2_sqw)
+    psi = np.exp2(log2_sqw - e)
+    psi[1:] *= math.sqrt(2.0)
     e = e.astype(np.int64)
-    psi /= math.sqrt(float(np.sum(np.ldexp(psi, e) ** 2)))
+    h0 = _norm(psi, e) ** 2
+    psi /= math.sqrt(h0)
     psi_prev = np.zeros_like(psi)
-    low = []                     # (mantissa, exponent) of psi_0 and psi_1
-    gammas = np.full(deg_max + 1, np.nan)
-    g_prev = 0.0
-    for k in range(1, deg_max + 1):
-        if k <= 2:
-            low.append((psi, e))
-        y = n * psi - g_prev * psi_prev
-        g = math.sqrt(float(np.sum(np.ldexp(y, e) ** 2)))
-        psi_prev, psi = psi, y / g
-        # renormalize both carried rows so the larger mantissa lies in [0.5, 1)
-        _, d = np.frexp(np.maximum(np.abs(psi), np.abs(psi_prev)))
-        psi, psi_prev, e = np.ldexp(psi, -d), np.ldexp(psi_prev, -d), e + d
-        if k >= 2:
-            m0, e0 = low[k % 2]
-            defect = abs(float(np.sum(np.ldexp(psi * m0, e + e0))))
-            if defect > EXTENDED_DEFECT_LIMIT:
+    rows = np.empty((deg_max + 1, n_max + 1))
+    rows[0] = np.ldexp(psi, e)
+    gammas = np.zeros(deg_max + 1)
+    # omega[j + 1] estimates psi_k . psi_j for j of the parity of k; omega[0] = 0
+    omega, omega_prev = np.zeros(deg_max + 3), np.zeros(deg_max + 3)
+    omega[1] = 1.0
+    project_next = False
+    log2_drift = g_max = 0.0
+    for k in range(deg_max):
+        g_k = gammas[k]
+        y = n * psi
+        y -= g_k * psi_prev
+        g = g_in = _norm(y, e)
+        project = project_next or g < _CANCELLED * g_k
+        if k and not project:
+            # omega_{k+1, j} for j = p, p + 2, ..., k - 1, p the parity of k + 1,
+            # into the buffer of omega_{k-1}, which has parity p too
+            p = (k + 1) % 2
+            rec = gammas[p + 1:k + 1:2] * omega[p + 2:k + 2:2]
+            rec += gammas[p:k:2] * omega[p:k:2]
+            rec -= g_k * omega_prev[p + 1:k + 1:2]
+            # Simon's rounding term eps (gamma_{k+1} + gamma_{j+1}), at its largest
+            rec += np.copysign(_EPS * (g + g_max), rec)
+            rec /= g
+            omega_prev[p + 1:k + 1:2] = rec
+            project = not np.abs(rec).max() <= _SEMI_ORTHOGONAL
+        if project:
+            # measure the residual's overlaps with the stored rows of its
+            # parity and subtract them until they fall below _ORTHOGONAL
+            same = rows[(k + 1) % 2:k:2]
+            for _ in range(_MAX_PASSES):
+                v = np.ldexp(y, e)
+                c = np.dot(same, v)
+                g = math.sqrt(float(np.dot(v, v)))
+                if np.abs(c).max() <= _ORTHOGONAL * g:
+                    break
+                y -= np.ldexp(np.dot(c, same), -e)
+            else:
+                raise PrecisionError(f"Stieltjes reorthogonalization at degree {k + 1} "
+                                     f"for M = {M} did not converge")
+            if not g > _BREAKDOWN_SHARE * g_in:
                 raise PrecisionError(
-                    f"orthogonality defect {defect:.1e} at degree {k} for M = {M}")
-        gammas[k] = g
-        g_prev = g
-    return gammas
+                    f"Stieltjes breakdown at degree {k + 1} for M = {M}: projection "
+                    f"left {g / g_in:.1e} of the residual")
+            omega_prev[(k + 1) % 2 + 1:k + 1:2] = c / g
+            project_next = not project_next
+        y /= g
+        psi_prev, psi = psi, y
+        # per step the larger of the two mantissas at a point grows by at most
+        # (n_max + g_k)/g and falls by at most g_k/(2 max(n_max, g))
+        log2_drift += math.log2(max((n_max + g_k) / g, 2.0 * max(n_max, g) / g_k if k else 1.0))
+        if project or log2_drift > _DRIFT:
+            _, d = np.frexp(np.fmax(np.abs(psi), np.abs(psi_prev)))
+            psi, psi_prev, e = np.ldexp(psi, -d), np.ldexp(psi_prev, -d), e + d
+            log2_drift = 0.0
+        omega_prev[k + 2] = 1.0
+        omega_prev, omega = omega, omega_prev
+        gammas[k + 1] = g
+        g_max = max(g_max, g)
+        rows[k + 1] = np.ldexp(psi, e)
+    gammas[0] = np.nan
+    return math.log(h0), gammas
 
 
 @dataclass(frozen=True)
@@ -143,48 +160,34 @@ class FiniteNModel:
     M: float
     N: int
     n_max: int
-    n_grid: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)       # gamma[k], k >= 1
     log_h: np.ndarray = field(repr=False)       # log h_k
-    psi_table: np.ndarray = field(repr=False)   # (deg+1, n_pts) wave functions
-    orthonormality_defect: float = np.nan
     # always False; perfbench's tracer reads it for finite_n.dd_tables
     used_extended_precision: bool = False
 
     @property
     def deg_max(self):
-        return self.psi_table.shape[0] - 1
-
-    def psi(self, k):
-        return self.psi_table[k]
-
-    def ratio_R(self, k):
-        """R_k = h_k / h_{k-1} = gamma_k^2."""
-        return float(self.gamma[k] ** 2)
+        return len(self.gamma) - 1
 
 
 def build_op_table(M, N):
-    """Orthonormal wave functions of the lattice weight exp(-pi^2 n^2/(2 M^2))
-    up to degree 2N - 1, their gammas and log norms, from _stieltjes_float;
-    PrecisionError where double precision cannot resolve them (e.g. M <= 0.6
-    at N = 8).  orthonormality_defect is max |Psi Psi^T - I| over all rows.
+    """Recursion coefficients gamma_k and log norms log h_k of the lattice
+    weight exp(-pi^2 n^2/(2 M^2)) up to degree 2N - 1, N <= 256, from the
+    Stieltjes kernel; PrecisionError only at Lanczos breakdown, where the
+    weight lives on too few lattice points for the degree (e.g. M = 0.5 at
+    N = 8).
     """
-    if not 1 <= N <= 64:
-        raise DomainError("walker count N must lie in [1, 64]")
+    if not 1 <= N <= 256:
+        raise DomainError("walker count N must lie in [1, 256]")
     if not 0.5 <= M <= 4.0 * math.sqrt(2.0 * N) + 1e-9:
         raise DomainError(f"M = {M} outside [0.5, 4 sqrt(2N)]")
     deg_max = 2 * N - 1
     n_max = suggested_n_max(M, deg_max)
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    w = np.exp(-np.pi ** 2 * n ** 2 / (2.0 * M * M))
-    h0, gammas, table = _stieltjes_float(n, w, deg_max)
+    log_h0, gammas = _stieltjes(M, n_max, deg_max)
     log_h = np.empty(deg_max + 1)
-    log_h[0] = math.log(h0)
-    log_h[1:] = log_h[0] + 2.0 * np.cumsum(np.log(gammas[1:]))
-    defect = float(np.abs(table @ table.T - np.eye(deg_max + 1)).max())
-    return FiniteNModel(M=float(M), N=int(N), n_max=n_max, n_grid=n,
-                        gamma=gammas, log_h=log_h, psi_table=table,
-                        orthonormality_defect=defect)
+    log_h[0] = log_h0
+    log_h[1:] = log_h0 + 2.0 * np.cumsum(np.log(gammas[1:]))
+    return FiniteNModel(M=float(M), N=int(N), n_max=n_max, gamma=gammas, log_h=log_h)
 
 
 def recurrence_table(M, deg_max, n_max=None):
@@ -192,18 +195,16 @@ def recurrence_table(M, deg_max, n_max=None):
 
     Near and beyond the transition degree ~ M^2 the wave functions press
     against the lattice Nyquist momentum and spread to |n| ~ (2/pi) deg, past
-    the |n| ~ 17.3 M where exp(-pi^2 n^2/(4 M^2)) underflows in doubles.  The
-    extended-exponent kernel covers that support for every M; the gammas
-    agree with a 45-digit Stieltjes to 4e-15 up to degree 968 at M = 30.
-    Beyond degree M^2 + c M, with c from about 2 at M = 40 to 6 at M = 1,
-    double precision loses orthogonality and PrecisionError is raised.
+    the |n| ~ 17.3 M where exp(-pi^2 n^2/(4 M^2)) underflows in doubles; the
+    kernel's per-n exponents cover that support for every M.  The gammas
+    agree with a 30-digit Stieltjes to 7e-16 at degrees 700-904 for M = 30,
+    and with 60 digits to 1e-14 up to degree 200 = 2 M^2 for M = 10.
     """
     if n_max is None:
         n_max = max(suggested_n_max(M, deg_max), int(math.ceil(0.66 * deg_max + 60.0)))
     if deg_max > 2 * n_max:
         raise DomainError("degree exceeds the lattice support")
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    return _stieltjes_extended(n, M, deg_max)
+    return _stieltjes(M, n_max, deg_max)[1]
 
 
 # dropped terms of either G sum lie below e^-_LOG_TAIL of their envelope's peak

@@ -1,9 +1,12 @@
 """Monte-Carlo sampler of N non-intersecting Brownian excursions on [0, 1].
 
 A single excursion is generated by the cycle-shift construction: a Brownian
-bridge rotated at its minimum is an excursion in law (exact for the
-discretely observed bridge as well, by the cycle lemma applied to the
-exchangeable Gaussian increments).
+bridge rotated at its minimum is an excursion in law (Vervaat).  On the
+grid, the rotated walk is exactly a Gaussian random-walk excursion, by the
+cycle lemma applied to the exchangeable increments, but not a sampled
+Brownian excursion: its maximum is the bridge's discrete range, which
+misses the continuous range by about 2 beta sqrt(dt), beta ~ 0.5826 (the
+discrete-monitoring shift of Broadie-Glasserman-Kou at each end).
 
 For N >= 2 whole-tuple rejection of independent excursions is hopeless: the
 paths share both endpoints, so the non-crossing event degenerates and the

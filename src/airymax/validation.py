@@ -253,14 +253,7 @@ def criterion_9_asymptotic_ladder(ctx):
     # x ~ 1 of the double-scaling zone; see the decisions notes)
     M, k = 15.0, 109
     u = 0.2 * M ** (-2.0 / 3.0)
-    from .finite_n import _stieltjes_float, suggested_n_max
-    n_max = suggested_n_max(M, 2 * k - 1)
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    w = np.exp(-np.pi ** 2 * n ** 2 / (2.0 * M * M))
-    _, _, table = _stieltjes_float(n, w, 2 * k - 1)
-    signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
-    g_exact = float(np.sum(signs * n * table[2 * k - 1]
-                           * np.exp(-u * np.pi ** 2 * n ** 2 / (2.0 * M * M))))
+    g_exact = g_function(build_op_table(M, k), k, u)
     rel_pr = abs(g_exact / g_plancherel_rotach(M, k, u) - 1.0)
     cubic = large_deviation_eval(1.0, 1e-2, 10.0).varphi / 1e-6
     rel_cubic = abs(cubic / (32.0 / 3.0) - 1.0)

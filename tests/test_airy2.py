@@ -129,6 +129,17 @@ def test_f_function_checks_s_at_entry(sol, monkeypatch, s, w):
         airy2.f_function(s, w, sol=sol)
 
 
+def test_s_above_transport_seed_raises():
+    # a solution reaching past s = 14 admits s up to s_max - 2 for F1, but the
+    # transport starts at S_SEED = 12; numpy's ValueError came out before
+    from airymax.painleve import solve_hastings_mcleod
+    wide = solve_hastings_mcleod(s_max=16.0)
+    for fn in (airy2.joint_pdf, airy2.f_function):
+        with pytest.raises(RangeError):
+            fn(13.0, 0.5, sol=wide)
+    assert airy2.f_function(11.5, 0.5, sol=wide) > 0.0
+
+
 def test_w_cap(sol):
     with pytest.raises(DomainError):
         airy2.f_function(0.0, 6.5, sol=sol)

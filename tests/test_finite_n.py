@@ -11,7 +11,8 @@ from airymax.errors import DomainError, PrecisionError
 from airymax.oracles import brute_force_jpdf
 from airymax.special import airy_ai
 
-from _oracles import RECURRENCE_30_904, g_mp, stieltjes_mp
+from _oracles import (OP_TABLE_REFERENCES, RECURRENCE_10_200, RECURRENCE_30_904, g_mp,
+                      stieltjes_mp)
 
 
 def test_h0_asymptotic():
@@ -42,23 +43,20 @@ def test_recurrence_table_matches_mp_oracle():
     assert np.all(np.abs(gam[1:] / ref[1:] - 1.0) <= 1e-13)
 
 
+def test_recurrence_table_past_twice_m_squared():
+    # past ~M^2 + 3M plain Stieltjes loses orthogonality in doubles (at M = 10
+    # its gammas were off by O(1) from degree ~150); partial
+    # reorthogonalization keeps the table to degree 200 = 2 M^2
+    gam = fn.recurrence_table(10.0, 200)
+    for k, ref in RECURRENCE_10_200.items():
+        assert gam[k] == pytest.approx(ref, rel=1e-13), k
+
+
 def test_recurrence_table_refuses_unstable_degrees():
-    # past ~M^2 + 3M the Stieltjes recursion loses orthogonality in doubles
-    # (at M = 10 the gammas are off by O(1) from degree ~150)
+    # at M = 1 the weight exp(-pi^2 n^2/4) spans too few lattice points in
+    # double precision for degree 35: Lanczos breakdown
     with pytest.raises(PrecisionError):
-        fn.recurrence_table(10.0, 200)
-
-
-def test_odd_wavefunction_vanishes_at_origin():
-    model = fn.build_op_table(6.0, 3)
-    i0 = model.n_max  # index of n = 0
-    for k in (1, 3, 5):
-        assert model.psi(k)[i0] == 0.0
-
-
-def test_orthonormality_defect_at_n32():
-    model = fn.build_op_table(8.0, 32)
-    assert model.orthonormality_defect <= 1e-10
+        fn.recurrence_table(1.0, 40)
 
 
 def test_gamma_h_consistency():
@@ -195,13 +193,7 @@ def test_plancherel_rotach_tail_window():
     # the edge form holds in the large-x tail of the double-scaling zone
     M, k = 15.0, 109
     u = 0.2 * M ** (-2.0 / 3.0)
-    n_max = fn.suggested_n_max(M, 2 * k - 1)
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    w = np.exp(-np.pi ** 2 * n ** 2 / (2.0 * M * M))
-    _, _, table = fn._stieltjes_float(n, w, 2 * k - 1)
-    signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
-    g = float(np.sum(signs * n * table[2 * k - 1]
-                     * np.exp(-u * np.pi ** 2 * n ** 2 / (2.0 * M * M))))
+    g = fn.g_function(fn.build_op_table(M, k), k, u)
     assert g == pytest.approx(fn.g_plancherel_rotach(M, k, u), rel=0.05)
 
 
@@ -213,13 +205,7 @@ def test_edge_limit_is_f(sol):
     u = 0.2 * M ** (-2.0 / 3.0)
     x = fn.ScalingCoordinates.x_of(2 * k, M)
     v = u * M ** (2.0 / 3.0)
-    n_max = fn.suggested_n_max(M, 2 * k - 1)
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    w = np.exp(-np.pi ** 2 * n ** 2 / (2.0 * M * M))
-    _, _, table = fn._stieltjes_float(n, w, 2 * k - 1)
-    signs = 1.0 - 2.0 * (np.abs(n).astype(int) % 2)
-    g = float(np.sum(signs * n * table[2 * k - 1]
-                     * np.exp(-u * np.pi ** 2 * n ** 2 / (2.0 * M * M))))
+    g = fn.g_function(fn.build_op_table(M, k), k, u)
     f_val = airy2.f_function(2.0 ** (2.0 / 3.0) * x, 2.0 ** (7.0 / 3.0) * v, sol=sol)
     assert g / M ** (5.0 / 3.0) == pytest.approx(-f_val, rel=2.0 * M ** (-2.0 / 3.0))
 
@@ -324,27 +310,36 @@ def test_build_preconditions():
     with pytest.raises(DomainError):
         fn.build_op_table(2.0, 0)
     with pytest.raises(DomainError):
+        fn.build_op_table(20.0, 257)
+    with pytest.raises(DomainError):
         fn.build_op_table(100.0, 2)
     with pytest.raises(DomainError):
         fn.build_op_table(0.1, 2)
 
 
-@pytest.mark.parametrize("M,N", [
-    (0.5, 8), (1.0, 16), (2.0, 32), (5.1, 64),   # Lanczos breakdown
-    (0.9, 11), (4.0, 48), (5.3, 64),             # top rows on subnormal weights
-])
+@pytest.mark.parametrize("M,N", [(0.5, 8)])
 def test_op_table_refuses_unresolvable_weights(M, N):
-    # at (0.5, 8), (1.0, 16) and (2.0, 32) the top gammas hang on weights below
-    # the double range (150 digits miss them, 300 and 600 agree); without
-    # reorthogonalization (5.1, 64) and (5.3, 64) came out 1.7e4 and 5.7e3 x off
-    # without a warning, and without the rounding bound the last three
-    # returned gammas off by 1.1e-4, 3.2e-13 and 2.6e-9
+    # the top gammas hang on weights below 1e-300 of the bulk, and the
+    # projected residual on less than 1e-18 of its norm (300 and 600 digits
+    # agree); the once refused (0.9, 11) to (5.3, 64) are frozen pins below
     with pytest.raises(PrecisionError):
         fn.build_op_table(M, N)
 
 
+@pytest.mark.parametrize("M,N,dps", sorted(OP_TABLE_REFERENCES))
+def test_op_table_matches_frozen_references(M, N, dps):
+    # high-precision gammas where a 300-digit Stieltjes is itself wrong, where
+    # the float kernel refused (0.9-11 to 5.3-64), and at N = 128 and 256 near
+    # M = sqrt(2N)
+    model = fn.build_op_table(M, N)
+    tol = 2e-13 if (M, N) == (4.25, 64) else 1e-13
+    for k, ref in OP_TABLE_REFERENCES[(M, N, dps)].items():
+        assert abs(model.gamma[k] / ref - 1.0) <= tol, k
+
+
 @pytest.mark.parametrize("M,N,dps", [
     (6.0, 48, 60), (8.0, 64, 60),          # rows past 63, once off by 120x and 19x
+    (8.0, 32, 60),                         # once checked by its orthonormality defect
     (0.5, 3, 300), (0.5, 4, 300), (1.0, 8, 300), (2.5, 16, 300),  # once refused
     (0.8, 4, 300), (1.6, 8, 300),          # once rerun in double-double
 ])
@@ -352,14 +347,31 @@ def test_op_table_matches_mp_oracle(M, N, dps):
     model = fn.build_op_table(M, N)
     ref = stieltjes_mp(M, 2 * N - 1, fn.suggested_n_max(M, 2 * N - 1), dps=dps)
     assert np.max(np.abs(model.gamma[1:] / ref[1:] - 1.0)) <= 1e-13
-    assert model.orthonormality_defect <= 1e-14
+
+
+def test_op_table_small_m_matches_mp_or_refuses():
+    # test_op_table_finite_or_refused sees only finite gammas; without its
+    # projections the kernel returns tables up to 4e31 x off at 29 of these
+    # points, where the three-term step cancels, and 7 it should refuse
+    refused = []
+    for N in (3, 8, 16):
+        for M in np.arange(0.5, 2.0001, 0.1):
+            try:
+                model = fn.build_op_table(M, N)
+            except PrecisionError:
+                refused.append((N, round(M, 1)))
+                continue
+            ref = stieltjes_mp(M, 2 * N - 1, fn.suggested_n_max(M, 2 * N - 1), dps=300)
+            assert np.max(np.abs(model.gamma[1:] / ref[1:] - 1.0)) <= 1e-13, (N, M)
+    assert (8, 0.5) in refused
 
 
 def test_op_table_finite_or_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for N in (3, 8, 16, 48, 64):
-            for M in np.arange(0.5, 4.0 * math.sqrt(2.0 * N), 0.1):
+        for N, step in ((3, 0.1), (8, 0.1), (16, 0.1), (48, 0.1), (64, 0.1),
+                        (128, 1.0), (256, 1.0)):
+            for M in np.arange(0.5, 4.0 * math.sqrt(2.0 * N), step):
                 try:
                     model = fn.build_op_table(M, N)
                 except PrecisionError:
