@@ -309,14 +309,34 @@ def _tail_product(w, x_hi=26.0):
     return float(simpson(y, x=x))
 
 
+def _taylor_to(prof, sol, node, s_points):
+    """f at the 6 Gauss-Legendre points x of [s, prof.s_grid[node]] for each
+    s of s_points, by the cubic Taylor expansion of every column about its
+    node, f''' taken from the ODE there.  Returns the points' quadrature
+    weights (n_s, 6) and the values (n_s, 6, n_cols)."""
+    s_node = prof.s_grid[node]
+    gap = s_node - s_points
+    t, wt = np.polynomial.legendre.leggauss(6)
+    d = (-0.5 * gap[:, None] * (1.0 + t))[..., None]       # x - s_node
+    u, up = sol.potential(s_node)[:, None], sol.potential_prime(s_node)[:, None]
+    f0, f1, f2 = prof.f[node], prof.f_s[node], prof.f_ss[node]
+    w = prof.w_values
+    f3 = (((3.0 * up + 2.0 - 2.0 * w * u) * f0 + (6.0 * u + s_node[:, None]) * f1) / 4.0
+          + w * f2 / 2.0)
+    vals = f0[:, None] + d * (f1[:, None] + d * (f2[:, None] / 2.0 + d * f3[:, None] / 6.0))
+    return 0.5 * gap[:, None] * wt, vals
+
+
 def _density_columns(w_values, sol, s_points):
     """P(s, w) at the ascending s_points for each w, shaped (n_s, n_w).
 
     One transport of the +-w columns ends at s_points[0].  Each column's
     int_s^inf f(x, w) f(x, -w) dx is accumulated downward from S_SEED, where
     the product is small, so a small P(s, w) is not the difference of two
-    large integrals; the analytic tail above S_SEED is added, and the sums
-    are read at the transport nodes of s_points.
+    large integrals; the analytic tail above S_SEED is added.  The sums are
+    read at the first transport node at or above each s, and the piece from
+    s up to that node is added by a 6-point Gauss rule on the nodes' cubic
+    Taylor expansions.
     """
     w_values = np.asarray(w_values, dtype=float)
     s_points = np.asarray(s_points, dtype=float)
@@ -324,14 +344,17 @@ def _density_columns(w_values, sol, s_points):
     prof = transport_profile(cols, sol, s_lo=s_points[0])
     x_desc = -prof.s_grid[::-1]            # ascending in -s, from -S_SEED
     f_desc = prof.f[::-1]
-    idx = len(x_desc) - 1 - np.searchsorted(prof.s_grid, s_points - 1e-9)
+    node = np.searchsorted(prof.s_grid, s_points - 1e-9)
+    idx = len(x_desc) - 1 - node
+    gauss_w, f_gap = _taylor_to(prof, sol, node, s_points)
     scale = JOINT_PREFACTOR * tracy_widom_f1(s_points, sol)
     out = np.empty((len(s_points), len(w_values)))
     n_w = len(w_values)
     for j, w in enumerate(w_values):
         prod = f_desc[:, where[j]] * f_desc[:, where[n_w + j]]
         inner = cumulative_simpson(prod, x=x_desc, initial=0.0) + _tail_product(w)
-        out[:, j] = scale * inner[idx]
+        gap = np.sum(gauss_w * f_gap[:, :, where[j]] * f_gap[:, :, where[n_w + j]], axis=1)
+        out[:, j] = scale * (inner[idx] + gap)
     return out
 
 

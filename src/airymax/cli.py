@@ -172,11 +172,9 @@ def cmd_mc(args):
                  for i in range(len(em) - 1) for j in range(len(et) - 1)]
         write_csv(args.histogram,
                   ["m_lo", "m_hi", "tau_lo", "tau_hi", "count", "seed"], hrows)
-    report = {}
-    if args.walkers <= 3:
-        cdf_m, cdf_tau, _ = mc.exact_marginals(args.walkers)
-        report = {"ks_max": mc.ks_statistic(ens.maxima, cdf_m),
-                  "ks_tau": mc.ks_statistic(ens.argmax_times, cdf_tau)}
+    cdf_m, cdf_tau, _ = mc.exact_marginals(args.walkers)
+    report = {"ks_max": mc.ks_statistic(ens.maxima, cdf_m),
+              "ks_tau": mc.ks_statistic(ens.argmax_times, cdf_tau)}
     rows = [(m, t, ens.seed) for m, t in ens.samples]
     _emit(args, ["max_height", "argmax_time", "seed"], rows,
           {"max_height": "sampled maximum of the top path",

@@ -61,9 +61,5 @@ class PrecisionError(AirymaxError):
     """Double precision cannot resolve the requested quantity at this input."""
 
 
-class InfeasibleConfigurationError(AirymaxError):
-    """Requested sampling configuration has vanishing acceptance."""
-
-
 class StatisticsError(AirymaxError):
     """Insufficient samples for a valid statistical test."""

@@ -1,4 +1,5 @@
-"""Monte-Carlo sampler of N non-intersecting Brownian excursions on [0, 1].
+"""Monte-Carlo sampler of N = 1, 2, 3 non-intersecting Brownian excursions
+on [0, 1], and the exact finite-N marginals it is tested against.
 
 A single excursion is generated by the cycle-shift construction: a Brownian
 bridge rotated at its minimum is an excursion in law (Vervaat).  On the
@@ -8,20 +9,19 @@ Brownian excursion: its maximum is the bridge's discrete range, which
 misses the continuous range by about 2 beta sqrt(dt), beta ~ 0.5826 (the
 discrete-monitoring shift of Broadie-Glasserman-Kou at each end).
 
-For N >= 2 whole-tuple rejection of independent excursions is hopeless: the
-paths share both endpoints, so the non-crossing event degenerates and the
-measured acceptance falls like 1/steps^2 (about 1e-6 already at the minimal
-steps = 2000).  The production sampler instead uses an exact-in-law matrix
-realization: the ordered positive eigenvalues of a (2N+1) x (2N+1) real
-antisymmetric matrix whose entries are independent scalar Brownian bridges
-evolve as N non-intersecting excursions (for N = 1 this is the classical
-|3-d Brownian bridge| = excursion identity; the fixed-time eigenvalue
-density reproduces the prod x^2 * Vandermonde(x^2)^2 slice law).  The
-rejection scheme is kept as an explicit method and raises the documented
-infeasible-configuration error when its acceptance collapses.
+For N = 2, 3 the sampler uses an exact-in-law matrix realization: the
+ordered positive eigenvalues of a (2N+1) x (2N+1) real antisymmetric matrix
+whose entries are independent scalar Brownian bridges evolve as N
+non-intersecting excursions (for N = 1 this is the classical |3-d Brownian
+bridge| = excursion identity; the fixed-time eigenvalue density reproduces
+the prod x^2 * Vandermonde(x^2)^2 slice law).
 
-Randomness is counter-based: sample/attempt i draws from Philox keyed by
-(seed, i), so results are reproducible and independent of batching order.
+Randomness is counter-based: sample i draws from Philox keyed by (seed, i),
+so results are reproducible and independent of batching order.
+
+The exact side integrates P_N(M, tau) once: one op table per Gauss-Legendre
+node in M gives F_N and the tau-row there, and the M-CDF is the polynomial
+interpolant of F_N on those nodes.
 """
 
 import struct
@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleConfigurationError, PrecisionError, StatisticsError
+from .errors import DomainError, PrecisionError, StatisticsError
 
 DUMP_MAGIC = b"AMCE"
 DUMP_VERSION = 1
+M_NODES = 96        # Gauss-Legendre nodes in M of exact_marginals
+TAU_POINTS = 241    # trapezoid points in tau of exact_marginals
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,9 @@ class PathEnsemble:
     steps: int
     samples: np.ndarray          # shape (n, 2): columns M, tau_M
     seed: int
-    acceptance_rate: float
+    acceptance_rate: float       # 1.0: every draw is accepted
     attempts: int = 0
-    method: str = "auto"
+    method: str = "auto"         # "rejection" (N = 1 cycle shift) or "matrix"
 
     def __len__(self):
         return len(self.samples)
@@ -72,15 +74,14 @@ def _bridges(rng, count, steps):
     return np.concatenate([np.zeros((count, 1)), b], axis=1)
 
 
-def _excursions_for_attempt(seed, attempt, N, steps):
-    bridge = _bridges(_rng_for(seed, attempt), N, steps)
-    mins = np.argmin(bridge[:, :-1], axis=1)
+def _excursion(seed, index, steps):
+    """One Gaussian random-walk excursion: the bridge of Philox stream
+    (seed, index), cycle-shifted to start at its minimum."""
+    bridge = _bridges(_rng_for(seed, index), 1, steps)[0]
+    m = int(np.argmin(bridge[:-1]))
     exc = np.empty_like(bridge)
-    for i in range(N):
-        m = mins[i]
-        rolled = np.concatenate([bridge[i, m:-1], bridge[i, :m]])
-        exc[i, :-1] = rolled - bridge[i, m]
-        exc[i, -1] = 0.0
+    exc[:-1] = np.concatenate([bridge[m:-1], bridge[:m]]) - bridge[m]
+    exc[-1] = 0.0
     return exc
 
 
@@ -157,79 +158,37 @@ def _pfaffian6(a, subset, pair_index):
     return total
 
 
-def _sample_matrix(N, steps, n_samples, seed):
+def _top_path(N, seed, index, steps):
+    """Top path of draw index: the cycle-shifted excursion for N = 1, the
+    top eigenvalue path of the antisymmetric bridge matrix for N = 2, 3."""
+    if N == 1:
+        return _excursion(seed, index, steps)
     dim = 2 * N + 1
-    n_entries = dim * (dim - 1) // 2
-    top_fn = {2: _top_eigenpaths_n2, 3: _top_eigenpaths_n3}[N]
-    out = np.empty((n_samples, 2))
-    for i in range(n_samples):
-        a = _bridges(_rng_for(seed, i), n_entries, steps)
-        lam = top_fn(a)
-        j = int(np.argmax(lam))
-        out[i, 0] = lam[j]
-        out[i, 1] = j / steps
-    return out
+    a = _bridges(_rng_for(seed, index), dim * (dim - 1) // 2, steps)
+    return _top_eigenpaths_n2(a) if N == 2 else _top_eigenpaths_n3(a)
 
 
-def _sample_rejection(N, steps, n_samples, seed, max_attempt_factor):
-    out = np.empty((n_samples, 2))
-    got = 0
-    attempt = 0
-    cap = max(20000, max_attempt_factor * n_samples)
-    while got < n_samples:
-        if attempt >= cap:
-            rate = got / max(attempt, 1)
-            raise InfeasibleConfigurationError(
-                f"acceptance rate {max(rate, 0.0):.2e} below feasibility "
-                f"(budget {cap} attempts); reduce N or use method='matrix'")
-        exc = _excursions_for_attempt(seed, attempt, N, steps)
-        attempt += 1
-        if N > 1:
-            order = np.argsort(exc[:, steps // 2])
-            exc = exc[order]
-            if np.any(np.diff(exc[:, 1:-1], axis=0) <= 0.0):
-                continue
-        top = exc[-1]
-        j = int(np.argmax(top))
-        out[got, 0] = top[j]
-        out[got, 1] = j / steps
-        got += 1
-    return out, attempt
-
-
-def sample_ensemble(N, steps, n_samples, seed, method="auto", max_attempt_factor=400):
+def sample_ensemble(N, steps, n_samples, seed):
     """Draw n_samples (M, tau_M) pairs of the top path; see module docstring.
 
-    method: "auto" picks cycle-shift for N = 1 and the matrix realization for
-    N in {2, 3}; it has no sampler for N = 4 and raises the infeasibility
-    error at entry.  "rejection" forces whole-tuple rejection (N <= 4) and
-    raises that error when acceptance collapses.
+    N = 1 uses the cycle shift, N = 2, 3 the matrix realization; any other N
+    raises DomainError at entry.  Non-finite samples raise PrecisionError.
     """
-    if not 1 <= N <= 4:
-        raise DomainError("supported walker counts are 1 <= N <= 4")
+    if N not in (1, 2, 3):
+        raise DomainError(f"samplers exist for N = 1, 2, 3, not N = {N}")
     if steps < 2000:
         raise DomainError("steps >= 2000 required")
-    if method not in ("auto", "rejection", "matrix"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "auto":
-        if N == 4:
-            raise InfeasibleConfigurationError(
-                "no sampler for N = 4 under method='auto': whole-tuple rejection "
-                "accepts almost nothing; pass method='rejection' to attempt it")
-        method = "rejection" if N == 1 else "matrix"
-    if method == "matrix" and not 2 <= N <= 3:
-        raise DomainError("matrix realization implemented for N in {2, 3}")
-    if method == "matrix":
-        samples = _sample_matrix(N, steps, n_samples, seed)
-        attempts = n_samples
-        rate = 1.0
-    else:
-        samples, attempts = _sample_rejection(N, steps, n_samples, seed,
-                                              max_attempt_factor)
-        rate = n_samples / attempts
+    samples = np.empty((n_samples, 2))
+    for i in range(n_samples):
+        path = _top_path(N, seed, i, steps)
+        j = int(np.argmax(path))
+        samples[i] = path[j], j / steps
+    bad = np.count_nonzero(~np.all(np.isfinite(samples), axis=1))
+    if bad:
+        raise PrecisionError(f"{bad} of {n_samples} samples are not finite")
     return PathEnsemble(N=N, steps=steps, samples=samples, seed=int(seed),
-                        acceptance_rate=float(rate), attempts=attempts,
-                        method=method)
+                        acceptance_rate=1.0, attempts=n_samples,
+                        method="rejection" if N == 1 else "matrix")
 
 
 @dataclass(frozen=True)
@@ -268,8 +227,12 @@ def extreme_stats(ensemble, bins_m=24, bins_tau=24):
 
 
 def ks_statistic(samples, cdf):
-    """Kolmogorov-Smirnov sup-distance of the empirical CDF from cdf."""
+    """Kolmogorov-Smirnov sup-distance of the empirical CDF from cdf;
+    StatisticsError on non-finite samples."""
     x = np.sort(np.asarray(samples, dtype=float))
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise StatisticsError(f"{bad} non-finite samples")
     n = len(x)
     F = np.asarray(cdf(x), dtype=float)
     up = np.max(np.arange(1, n + 1) / n - F)
@@ -277,16 +240,26 @@ def ks_statistic(samples, cdf):
     return float(max(up, dn))
 
 
-def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
-    """Quadrature marginals of the exact finite-N joint density.
+def exact_marginals(N):
+    """Marginals of the exact finite-N joint density P_N(M, tau).
 
-    Returns (cdf_M callable, cdf_tau callable, pdf grid metadata).
+    M runs over M_NODES Gauss-Legendre nodes on [m_lo, m_cap], m_cap =
+    4 sqrt(2N); one op table per node gives F_N and the tau-row there.
+    The scan M = 0.5, 0.55, ... stops at the first M where log F_N > -40;
+    m_lo is the last point before it at which log F_N <= -40, or
+    build_op_table's floor 0.5 when the scan stops at once.  The mass
+    F_N(m_lo) below m_lo is dropped: 5.3e-7 for N = 1, < e^-40 for N = 2, 3.
+    The tau-density integrates the rows over M and is cumulated by the
+    trapezoid rule on TAU_POINTS points.
+
+    Returns (cdf_m, cdf_tau, meta).  cdf_m is the degree M_NODES - 1
+    interpolant of F_N on the nodes, summed as a Legendre series, 0 below
+    m_lo and 1 above m_cap.  cdf_tau is normalized; meta["raw_mass"] is the
+    mass before that, so raw_mass + F_N(m_lo) = 1 up to the quadrature.
     """
-    from .finite_n import cdf_max_finite_n, jpdf_finite_n, log_cdf_max
+    from .finite_n import build_op_table, cdf_max_finite_n, jpdf_finite_n, log_cdf_max
 
-    if m_cap is None:
-        m_cap = 4.0 * np.sqrt(2.0 * N)
-    # start where F_N is numerically alive; the dropped mass is < e^-40
+    m_cap = 4.0 * np.sqrt(2.0 * N)
     m_lo = 0.5
     for m_try in np.arange(0.5, 0.25 * m_cap, 0.05):
         try:
@@ -295,32 +268,43 @@ def exact_marginals(N, m_cap=None, n_m=96, n_tau=241):
         except (DomainError, PrecisionError):
             continue
         m_lo = m_try
-    t_quad, w_quad = np.polynomial.legendre.leggauss(n_m)
+    t_quad, w_quad = np.polynomial.legendre.leggauss(M_NODES)
     m_nodes = 0.5 * (m_lo + m_cap) + 0.5 * (m_cap - m_lo) * t_quad
     m_weights = 0.5 * (m_cap - m_lo) * w_quad
-    tau_grid = np.linspace(0.0, 1.0, n_tau)
-    pdf_tau = np.zeros((n_m, n_tau))
+    tau_grid = np.linspace(0.0, 1.0, TAU_POINTS)
+    f_nodes = np.empty(M_NODES)
+    pdf_tau = np.zeros((M_NODES, TAU_POINTS))
     for i, M in enumerate(m_nodes):
-        pdf_tau[i, 1:-1] = jpdf_finite_n(M, tau_grid[1:-1], N)
+        model = build_op_table(M, N)
+        f_nodes[i] = cdf_max_finite_n(M, N, model=model)
+        pdf_tau[i, 1:-1] = jpdf_finite_n(M, tau_grid[1:-1], N, model=model)
 
-    m_table = np.linspace(m_lo, m_cap, 600)
-    f_table = np.array([cdf_max_finite_n(v, N) for v in m_table])
+    # Legendre coefficients of the interpolant; the Gauss rule is exact on
+    # (interpolant x P_k), of degree <= 2 M_NODES - 2
+    legendre = np.polynomial.legendre
+    coef = (np.arange(M_NODES) + 0.5) * (legendre.legvander(t_quad, M_NODES - 1).T
+                                         @ (w_quad * f_nodes))
 
     def cdf_m(x):
         x = np.asarray(x, dtype=float)
-        return np.interp(x, m_table, f_table, left=0.0, right=1.0)
+        t = (2.0 * x - (m_lo + m_cap)) / (m_cap - m_lo)
+        inside = (x >= m_lo) & (x <= m_cap)
+        vals = legendre.legval(np.where(inside, t, 0.0), coef)
+        return np.where(inside, vals, np.where(x > m_cap, 1.0, 0.0))
 
     tau_density = m_weights @ pdf_tau
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (tau_density[1:] + tau_density[:-1])
                                            * np.diff(tau_grid))])
-    if cum[-1] > 0:
-        cum = cum / cum[-1]
+    raw_mass = float(cum[-1])
+    if raw_mass > 0:
+        cum = cum / raw_mass
 
     def cdf_tau(x):
         return np.interp(np.asarray(x, dtype=float), tau_grid, cum)
 
-    return cdf_m, cdf_tau, {"m_nodes": m_nodes, "tau_grid": tau_grid,
-                            "tau_density": tau_density}
+    return cdf_m, cdf_tau, {"m_nodes": m_nodes, "m_lo": float(m_lo),
+                            "tau_grid": tau_grid, "tau_density": tau_density,
+                            "raw_mass": raw_mass}
 
 
 def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
@@ -328,7 +312,7 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
     against the exact finite-N density (N <= 3)."""
     if ensemble.N > 3:
         raise DomainError("exact comparison supported for N <= 3")
-    from .finite_n import jpdf_finite_n
+    from .finite_n import build_op_table, jpdf_finite_n
 
     cdf_m, cdf_tau, meta = exact_marginals(ensemble.N)
     ks_m = ks_statistic(ensemble.maxima, cdf_m)
@@ -343,22 +327,23 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
     counts, _, _ = np.histogram2d(ensemble.maxima, ensemble.argmax_times,
                                   bins=(edges_m, edges_t))
 
-    # expected cell masses by midpoint quadrature of the exact jpdf
-    from .errors import PrecisionError
+    # expected cell masses by 4 x 4 midpoint quadrature of the exact jpdf:
+    # one op table per M midpoint serves every tau midpoint
+    tt = np.array([np.linspace(edges_t[j], edges_t[j + 1], 9)[1::2] for j in range(n_cells)])
+    inner = (tt > 0.0) & (tt < 1.0)
     expected = np.empty_like(counts)
     for i in range(n_cells):
-        mm = np.linspace(edges_m[i], edges_m[i + 1], 9)[1::2]
-        for j in range(n_cells):
-            tt = np.linspace(edges_t[j], edges_t[j + 1], 9)[1::2]
-            inner = tt[(tt > 0.0) & (tt < 1.0)]
-            acc = 0.0
-            for M in mm:
-                try:
-                    acc += float(np.sum(jpdf_finite_n(M, inner, ensemble.N)))
-                except (DomainError, PrecisionError):
-                    continue  # density ~ e^-40 there
-            area = (edges_m[i + 1] - edges_m[i]) * (edges_t[j + 1] - edges_t[j]) / 16.0
-            expected[i, j] = acc * area * n
+        cell = np.zeros(n_cells)
+        for M in np.linspace(edges_m[i], edges_m[i + 1], 9)[1::2]:
+            dens = np.zeros_like(tt)
+            try:
+                model = build_op_table(M, ensemble.N)
+                dens[inner] = jpdf_finite_n(M, tt[inner], ensemble.N, model=model)
+            except (DomainError, PrecisionError):
+                continue  # density ~ e^-40 there
+            cell += dens.sum(axis=1)
+        area = (edges_m[i + 1] - edges_m[i]) * (edges_t[1:] - edges_t[:-1]) / 16.0
+        expected[i] = cell * area * n
     if np.any(expected < min_expected):
         raise StatisticsError("expected counts below the chi^2 validity floor")
     chi2 = float(np.sum((counts - expected) ** 2 / expected))

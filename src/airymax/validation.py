@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import airy2, fredholm, mc
-from .errors import DomainError, PrecisionError
 from .finite_n import (ScalingCoordinates, build_op_table, double_scaling_check,
                        edge_law_convergence, f1_scaling_function, g_closed_form,
                        g_function, g_plancherel_rotach, jpdf_finite_n,
-                       large_deviation_eval, log_cdf_max)
+                       large_deviation_eval)
 from .lax import default_zeta_rule, psi_at_s, solve_psi_column
 from .painleve import tracy_widom_f1
 from .special import airy_ai
@@ -212,36 +211,12 @@ def criterion_8_finite_n_exact(ctx):
     ours = jpdf_finite_n(2.0, 0.5, 2)
     brute = brute_force_jpdf(2.0, 0.5, 2, cutoff=40)
     rel = abs(ours / brute - 1.0)
-    norms = {}
-    for N in (1, 2, 3):
-        norms[N] = _normalization_finite_n(N)
+    # mass of the quadrature of exact_marginals; for N = 1 it misses the
+    # F_1(0.5) = 5.3e-7 below build_op_table's floor M = 0.5
+    norms = {N: mc.exact_marginals(N)[2]["raw_mass"] for N in (1, 2, 3)}
     ok = rel <= 1e-8 and all(abs(v - 1.0) <= 1e-4 for v in norms.values())
     return CriterionResult(8, "finite-N exactness", ok,
                            {"brute_force_rel": float(rel), "normalizations": norms})
-
-
-def _normalization_finite_n(N, n_m=72, n_tau=72, u_half=0.496):
-    # the tau-window is truncated at |u| = u_half: the dropped strips carry
-    # mass ~ exp(-M^2/(1 - 2 u_half)) < 1e-17
-    m_cap = 4.0 * np.sqrt(2.0 * N)
-    m_lo = 0.5
-    for m_try in np.arange(0.5, 0.3 * m_cap, 0.05):
-        try:
-            if log_cdf_max(m_try, N) > -38.0:
-                break
-        except (DomainError, PrecisionError):
-            continue
-        m_lo = m_try
-    tm, wm = np.polynomial.legendre.leggauss(n_m)
-    mn = 0.5 * (m_lo + m_cap) + 0.5 * (m_cap - m_lo) * tm
-    mw = 0.5 * (m_cap - m_lo) * wm
-    tt, wt = np.polynomial.legendre.leggauss(n_tau)
-    tau = 0.5 + u_half * tt
-    uw = u_half * wt
-    total = 0.0
-    for M, wgt in zip(mn, mw):
-        total += wgt * float(uw @ jpdf_finite_n(M, tau, N))
-    return float(total)
 
 
 @_timed

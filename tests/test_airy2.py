@@ -169,6 +169,17 @@ def test_grid_equals_joint_pdf_at_nodes(sol, joint_grid):
             assert abs(joint_grid.values[i, j] - ref) <= 1e-12 * ref, (s, w)
 
 
+def test_grid_exact_off_the_transport_lattice(sol):
+    # s_step = 0.049 puts the grid's s between the 0.0025-step transport
+    # nodes from S_SEED; each s was read at the node above it (3.6e-3 off)
+    grid = airy2.build_joint_density_grid(sol, s_lo=-3.0, s_hi=3.0, s_step=0.049,
+                                          w_max=1.0, w_step=0.5)
+    for i in range(0, len(grid.s_grid), 4):
+        for j in range(2, len(grid.w_grid)):
+            ref = airy2.joint_pdf(grid.s_grid[i], grid.w_grid[j], sol=sol)
+            assert abs(grid.values[i, j] - ref) <= 1e-10 * ref, (grid.s_grid[i], grid.w_grid[j])
+
+
 def test_grid_large_s_matches_closed_form(joint_grid):
     # every entry with s >= 5 against the factorized large-s form; at s = 5
     # the psi-function corrections are ~1e-5 (measured: <= 6.7e-6)

@@ -81,6 +81,13 @@ def test_mc_subcommand(tmp_path):
     assert len(load_ensemble(dump)) == 200
 
 
+def test_mc_refuses_four_walkers(tmp_path):
+    # samplers exist for N = 1, 2, 3 only; the refusal is a usage error
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "-N", "4", "--samples", "5", "-o", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_subset(tmp_path):
     out = str(tmp_path / "report.json")
     rc = main(["validate", "--only", "2", "-o", out, "--format", "json"])

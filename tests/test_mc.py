@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from airymax import finite_n, mc, validation
-from airymax.errors import DomainError, InfeasibleConfigurationError, StatisticsError
+from airymax import finite_n, mc
+from airymax.errors import DomainError, PrecisionError, StatisticsError
 
 
 def test_determinism_and_order_independence():
@@ -15,11 +17,23 @@ def test_determinism_and_order_independence():
     assert np.array_equal(c.samples[:100], d.samples)
 
 
+@pytest.mark.parametrize("args, digest", [
+    ((1, 2000, 50, 42), "e9cc0a20654e8f35d6fd59ffcff70932312e67945e5d0e40622dc6b1a89bdfb2"),
+    ((2, 2000, 20, 9), "792ca019da5a7160f642883a4c70490617b5000114ac814b5cb37076c50abcd2"),
+])
+def test_samples_match_frozen_fingerprints(args, digest):
+    # sha256 of the little-endian samples; any change to the Philox streams
+    # or the path constructions shows here
+    N, steps, n, seed = args
+    samples = mc.sample_ensemble(N, steps, n, seed=seed).samples
+    assert hashlib.sha256(samples.astype("<f8").tobytes()).hexdigest() == digest
+
+
 def test_excursion_paths_positive_and_pinned():
-    exc = mc._excursions_for_attempt(7, 3, 2, 2000)
-    assert exc.shape == (2, 2001)
-    assert np.all(exc[:, 1:-1] > 0.0)
-    assert np.all(exc[:, 0] == 0.0) and np.all(exc[:, -1] == 0.0)
+    exc = mc._excursion(7, 3, 2000)
+    assert exc.shape == (2001,)
+    assert np.all(exc[1:-1] > 0.0)
+    assert exc[0] == 0.0 and exc[-1] == 0.0
 
 
 def test_matrix_paths_ordered_nonnegative():
@@ -106,28 +120,40 @@ def test_chi2_validity_floor():
         mc.compare_to_exact(ens)
 
 
-def test_rejection_mode_infeasible_for_shared_endpoints():
-    with pytest.raises(InfeasibleConfigurationError):
-        mc.sample_ensemble(2, 2000, 200, seed=3, method="rejection",
-                           max_attempt_factor=50)
+@pytest.mark.xfail(strict=True, raises=PrecisionError,
+                   reason="ROADMAP item 4(a): _top_eigenpaths_n3 divides 0/0 at t = 0 and "
+                          "t = 1, so every N = 3 sample is (nan, 0.0)")
+def test_n3_samples_are_finite():
+    ens = mc.sample_ensemble(3, 2000, 5, seed=3)
+    assert np.all(np.isfinite(ens.samples))
 
 
-def test_auto_method_refuses_four_walkers_at_entry(monkeypatch):
+def test_non_finite_samples_raise(monkeypatch):
+    # a NaN path (as every N = 3 path is today) is refused, not returned
+    monkeypatch.setattr(mc, "_top_path",
+                        lambda N, seed, i, steps: np.full(steps + 1, np.nan if i % 2 else 1.0))
+    with pytest.raises(PrecisionError, match="2 of 4 samples are not finite"):
+        mc.sample_ensemble(1, 2000, 4, seed=1)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_ks_statistic_refuses_non_finite_samples(column):
+    samples = np.column_stack([np.linspace(0.5, 2.0, 10), np.linspace(0.1, 0.9, 10)])
+    samples[3, column] = np.nan
+    with pytest.raises(StatisticsError, match="1 non-finite"):
+        mc.ks_statistic(samples[:, column], lambda x: np.clip(x, 0.0, 1.0))
+
+
+def test_parameter_guards(monkeypatch):
     def no_draws(*args):
-        raise AssertionError("sample_ensemble drew paths for N = 4")
+        raise AssertionError("sample_ensemble drew paths")
 
-    monkeypatch.setattr(mc, "_excursions_for_attempt", no_draws)
-    with pytest.raises(InfeasibleConfigurationError, match="method='rejection'"):
-        mc.sample_ensemble(4, 2000, 10, seed=1)
-
-
-def test_parameter_guards():
-    with pytest.raises(DomainError):
-        mc.sample_ensemble(5, 2000, 10, seed=1)
+    monkeypatch.setattr(mc, "_top_path", no_draws)
+    for N in (0, 4, 5):
+        with pytest.raises(DomainError):
+            mc.sample_ensemble(N, 2000, 10, seed=1)
     with pytest.raises(DomainError):
         mc.sample_ensemble(1, 500, 10, seed=1)
-    with pytest.raises(DomainError):
-        mc.sample_ensemble(2, 2000, 10, seed=1, method="bogus")
 
 
 def test_dump_roundtrip(tmp_path):
@@ -159,7 +185,6 @@ def test_empty_ensemble_stats():
 
 @pytest.mark.parametrize("module, scan", [
     (finite_n, lambda: mc.exact_marginals(2)),
-    (validation, lambda: validation._normalization_finite_n(2)),
 ])
 def test_m_lo_scan_propagates_unexpected_errors(monkeypatch, module, scan):
     # the scan for the lower M limit skips only DomainError and PrecisionError
@@ -175,3 +200,25 @@ def test_m_lo_scan_propagates_unexpected_errors(monkeypatch, module, scan):
     monkeypatch.setattr(module, "log_cdf_max", first_call_fails)
     with pytest.raises(ValueError, match="injected"):
         scan()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_exact_cdf_m_matches_finite_n(N):
+    # the interpolant on the quadrature nodes against F_N itself, between
+    # the nodes and beyond both ends
+    cdf_m, _, meta = mc.exact_marginals(N)
+    m_lo, m_cap = meta["m_lo"], 4.0 * np.sqrt(2.0 * N)
+    m = np.linspace(m_lo, m_cap, 301)
+    exact = np.array([finite_n.cdf_max_finite_n(v, N) for v in m])
+    assert np.max(np.abs(cdf_m(m) - exact)) <= 1e-10
+    assert np.array_equal(cdf_m(np.array([0.0, m_lo - 1e-6, m_cap + 1e-6, 50.0])),
+                          [0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_exact_marginals_mass_closes(N):
+    # the quadrature carries all the mass above m_lo; for N = 1 the mass
+    # F_1(0.5) = 5.3e-7 below build_op_table's floor is what is missing
+    _, _, meta = mc.exact_marginals(N)
+    below = finite_n.cdf_max_finite_n(meta["m_lo"], N)
+    assert abs(meta["raw_mass"] + below - 1.0) <= 1e-12
