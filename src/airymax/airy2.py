@@ -34,13 +34,13 @@ step-by-step loop as an oracle.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .errors import (DomainError, MisconfigurationError, RangeError, ResolutionError,
                      TailRegularizationError)
 from .lax import psi_at_s
 from .painleve import tracy_widom_f1
-from .special import airy_both, gauss_legendre_rule, neville_at_zero
+from .special import (airy_both, cumulative_simpson, gauss_legendre_rule, neville_at_zero,
+                      simpson)
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 TWO_43 = 2.0 ** (4.0 / 3.0)

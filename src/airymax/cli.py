@@ -30,13 +30,25 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Write header and rows as CSV, numbers as %.17g.
+
+    Rows that form a float table are formatted in one pass; other rows go
+    through csv.writer field by field.  Both give the same bytes."""
+    try:
+        table = np.asarray(rows)
+    except ValueError:                      # ragged rows
+        table = None
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
-                        for v in row])
+        if table is not None and table.ndim == 2 and table.dtype.kind == "f":
+            line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+            fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
+        else:
+            for row in rows:
+                w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
+                            for v in row])
     os.replace(tmp, path)
 
 
@@ -81,8 +93,9 @@ def cmd_jpdf(args):
     grid = airy2.build_joint_density_grid(sol, s_lo=args.s_min, s_hi=args.s_max,
                                           s_step=args.s_step, w_max=args.w_max,
                                           w_step=args.w_step)
-    rows = [(s, w, grid.values[i, j])
-            for i, s in enumerate(grid.s_grid) for j, w in enumerate(grid.w_grid)]
+    n_s, n_w = grid.values.shape
+    rows = np.column_stack([np.repeat(grid.s_grid, n_w), np.tile(grid.w_grid, n_s),
+                            grid.values.ravel()])
     _emit(args, ["s", "w", "density"], rows, {
         "density": "joint density of rescaled max height and argmax time"})
     print(f"grid {len(grid.s_grid)} x {len(grid.w_grid)}; "

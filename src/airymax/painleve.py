@@ -9,7 +9,6 @@ solution is a separatrix), hence the global two-point formulation.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import DomainError, RangeError, SolverFailureError
@@ -19,6 +18,83 @@ from .special import airy_ai
 # 30-digit value 1/12 - ln(Glaisher), cross-checked against an independent
 # series evaluation in the test suite.
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921391966024278
+
+
+_SPLINE_BLOCK = 4096      # points evaluated together; bounds the temporaries
+
+
+class _Spline:
+    """Piecewise polynomial with coefficients c[k, i] of (t - x_i)^{deg - k}
+    on [x_i, x_{i+1}); points outside [x_0, x_n] use the end pieces.
+
+    Evaluation and antiderivative follow scipy's PPoly operation for
+    operation, so the values are the same: each piece is summed from its
+    constant term up, with the powers of t - x_i built by repeated products.
+    """
+
+    def __init__(self, x, c):
+        self.x, self.c = x, c
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, len(flat), _SPLINE_BLOCK):
+            out[lo:lo + _SPLINE_BLOCK] = self._evaluate(flat[lo:lo + _SPLINE_BLOCK])
+        return out.reshape(t.shape)
+
+    def _evaluate(self, t):
+        i = np.searchsorted(self.x[1:-1], t, side="right")
+        z = t - self.x[i]
+        out = self.c[-1][i]
+        zk = z.copy()
+        for k, row in enumerate(self.c[-2::-1]):
+            if k:
+                zk *= z
+            out += row[i] * zk
+        return out
+
+    def antiderivative(self):
+        """The antiderivative that vanishes at x_0."""
+        deg = len(self.c) - 1
+        c = np.empty((deg + 2, len(self.x) - 1))
+        c[:-1] = self.c / np.arange(deg + 1, 0, -1.0)[:, None]
+        # each piece's constant is the previous piece at its right end, summed
+        # term by term from the constant up, in one sequential pass
+        h = np.diff(self.x)[:-1]
+        terms = np.empty((len(h), deg + 1))
+        hk = h.copy()
+        for k in range(deg + 1):
+            if k:
+                hk *= h
+            terms[:, k] = c[deg - k, :-1] * hk
+        c[-1] = np.cumsum(np.concatenate([[0.0], terms.ravel()]))[::deg + 1]
+        return _Spline(self.x, c)
+
+
+def _cubic_spline(x, y):
+    """Not-a-knot cubic spline of y at the strictly increasing x (at least
+    four points): the slopes solve scipy CubicSpline's tridiagonal system,
+    with its operations, so the coefficients are the same."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, len(x)))
+    b = np.empty(len(x))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_{n-1}
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    m = solve_banded((1, 1), ab, b.reshape(-1, 1), overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)[:, 0]
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return _Spline(x, np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])))
 
 
 @dataclass(frozen=True)
@@ -35,11 +111,11 @@ class PainleveSolution:
     q_prime: np.ndarray
     interpolant_degree: int
     achieved_residual: float
-    _q_spline: CubicSpline = field(repr=False)
-    _qp_spline: CubicSpline = field(repr=False)
-    _aq: CubicSpline = field(repr=False)
-    _aq2: CubicSpline = field(repr=False)
-    _atq2: CubicSpline = field(repr=False)
+    _q_spline: _Spline = field(repr=False)
+    _qp_spline: _Spline = field(repr=False)
+    _aq: _Spline = field(repr=False)
+    _aq2: _Spline = field(repr=False)
+    _atq2: _Spline = field(repr=False)
     _tail_q: float = field(repr=False)
 
     @property
@@ -160,14 +236,14 @@ def solve_hastings_mcleod(s_min=-12.0, s_max=12.0, tol=1e-12, step=0.005,
     qpp = (-q[:-4] + 16.0 * q[1:-3] - 30.0 * q[2:-2] + 16.0 * q[3:-1] - q[4:]) / (12.0 * h * h)
     ach = float(np.max(np.abs(qpp - rhs(q[2:-2], s[2:-2]))))
 
-    q_spline = CubicSpline(s, q)
-    qp_spline = CubicSpline(s, qp)
+    q_spline = _cubic_spline(s, q)
+    qp_spline = _cubic_spline(s, qp)
     sol = PainleveSolution(
         s_grid=s, q=q, q_prime=qp, interpolant_degree=3, achieved_residual=ach,
         _q_spline=q_spline, _qp_spline=qp_spline,
         _aq=q_spline.antiderivative(),
-        _aq2=CubicSpline(s, q * q).antiderivative(),
-        _atq2=CubicSpline(s, s * q * q).antiderivative(),
+        _aq2=_cubic_spline(s, q * q).antiderivative(),
+        _atq2=_cubic_spline(s, s * q * q).antiderivative(),
         _tail_q=float(_ai_integral_tail(s_max)),
     )
     return sol

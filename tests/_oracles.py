@@ -1,5 +1,6 @@
 """Extended-precision and brute-force reference values used only by tests."""
 
+import csv
 import math
 
 import mpmath as mp
@@ -30,6 +31,16 @@ def airy_maclaurin_reference(x, terms=200, dps=60):
             f += tf
             g += tg
         return float(c1 * f - c2 * g)
+
+
+def write_csv_reference(path, header, rows):
+    """CSV through csv.writer, one field at a time, numbers as format(v, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([format(float(v), ".17g") if isinstance(v, (int, float, np.floating)) else v
+                        for v in row])
 
 
 # frozen output of the independent collocation oracle below (plain

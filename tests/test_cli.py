@@ -1,11 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from airymax import cli
 from airymax.cli import main
 from airymax.errors import AirymaxError, SolverFailureError
+
+from _oracles import write_csv_reference
 
 
 def test_tw_f1_row_count_and_discrepancy(tmp_path):
@@ -152,3 +155,27 @@ def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
         M, tau = float(M), float(tau)
         assert dens == cli._fmt(finite_n.jpdf_finite_n(M, tau, 2))
         assert cdf == cli._fmt(finite_n.cdf_max_finite_n(M, 2))
+
+
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(5).standard_normal((200, 3)) * np.logspace(-300, 300, 3),
+    [(0.1, 1, np.float64(-0.0)), (float("inf"), -float("inf"), float("nan")), (1e-320, 2 ** 60, 7.0)],
+    [(0.5, "label"), (1.5, "other")],
+    [(1.0, 2.0), (3.0,)],
+    [],
+])
+def test_write_csv_equals_csv_writer(tmp_path, rows):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    cli.write_csv(str(ours), ["a", "b", "c"], rows)
+    write_csv_reference(str(ref), ["a", "b", "c"], rows)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_jpdf_rows_in_grid_order(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main(["jpdf", "--s-min", "-1", "--s-max", "1", "--s-step", "0.05",
+                 "--w-max", "1", "--w-step", "0.5", "-o", str(out)]) == 0
+    t = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert t.shape == (41 * 5, 3)
+    assert np.array_equal(t[:5, 0], np.full(5, -1.0)) and np.array_equal(t[:5, 1], [-1, -0.5, 0, 0.5, 1])
+    assert np.array_equal(t[5:10, 0], np.full(5, -0.95))

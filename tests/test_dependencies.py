@@ -1,8 +1,11 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, and
+`import airymax` leaves the heavy scipy subpackages unloaded."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -41,3 +44,12 @@ def test_import_walk_sees_function_level_imports(tmp_path):
     source.write_text("import numpy as np\n\n\ndef f():\n    from mpmath import mp\n"
                       "    import scipy.special\n    from . import sibling\n")
     assert sorted(_top_level_imports(source)) == ["mpmath", "numpy", "scipy"]
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    code = ("import sys, airymax; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate'], "
+            "['scipy', 'optimize']))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
+    assert out.strip() == ""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from airymax import painleve
 from airymax.errors import DomainError, RangeError
@@ -80,3 +81,23 @@ def test_export_table(sol):
     table = painleve.export_table(sol, np.array([-2.0, 0.0, 2.0]))
     assert table.shape == (3, 4)
     assert table[1, 1] == pytest.approx(sol.q_at(0.0))
+
+
+def test_splines_equal_scipy_cubic_spline(sol):
+    s, q, qp = sol.s_grid, sol.q, sol.q_prime
+    pts = np.concatenate([np.linspace(-12.0, 12.0, 100001), s, [-12.5, 12.5]])
+    assert np.array_equal(sol._q_spline(pts), CubicSpline(s, q)(pts))
+    assert np.array_equal(sol._qp_spline(pts), CubicSpline(s, qp)(pts))
+    for ours, y in ((sol._aq, q), (sol._aq2, q * q), (sol._atq2, s * q * q)):
+        assert np.array_equal(ours(pts), CubicSpline(s, y).antiderivative()(pts))
+    assert np.shape(sol.q_at(0.5)) == () and sol.q_at(np.ones((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 123, 362])
+def test_spline_equals_scipy_on_uneven_knots(n):
+    x = np.sort(np.random.default_rng(n).uniform(-1.0, 2.0, n))
+    y = np.sin(3.0 * x) + x ** 3
+    pts = np.linspace(-1.5, 2.5, 2001)
+    ours = painleve._cubic_spline(x, y)
+    assert np.array_equal(ours(pts), CubicSpline(x, y)(pts))
+    assert np.array_equal(ours.antiderivative()(pts), CubicSpline(x, y).antiderivative()(pts))

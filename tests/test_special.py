@@ -1,9 +1,12 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy import integrate
+from scipy.special import airy as scipy_airy
 
 from airymax import special
 from airymax.errors import DomainError, MisconfigurationError
@@ -78,8 +81,50 @@ def test_airy_both_keeps_shape():
 
 
 def test_airy_scalar_in_scalar_out():
-    for value in (special.airy_ai(1.5), special.airy_ai_prime(1.5), *special.airy_both(1.5)):
-        assert isinstance(value, float) and np.ndim(value) == 0
+    for x in (1.5, 15.0):      # both sides of the switch to the asymptotic series
+        for value in (special.airy_ai(x), special.airy_ai_prime(x), *special.airy_both(x)):
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+
+def test_airy_asymptotic_series_against_mpmath():
+    xs = np.linspace(10.0, 100.0, 200)
+    ai, aip = special.airy_both(xs)
+    with mp.workdps(40):
+        ref = [(mp.airyai(mp.mpf(x)), mp.airyai(mp.mpf(x), 1)) for x in xs]
+    err_ai = max(abs(float((a - r) / r)) for a, (r, _) in zip(ai, ref))
+    err_aip = max(abs(float((a - r) / r)) for a, (_, r) in zip(aip, ref))
+    assert err_ai <= 3e-13 and err_aip <= 3e-13
+
+
+def test_airy_below_ten_is_scipy_bitwise():
+    x = np.concatenate([np.linspace(-30.0, 10.0, 4001)[:-1], [np.nextafter(10.0, 0.0)]])
+    ai, aip = special.airy_both(x)
+    ref_ai, ref_aip, _, _ = scipy_airy(x)
+    assert np.array_equal(ai, ref_ai) and np.array_equal(aip, ref_aip)
+    mixed = np.array([3.0, 12.0, -4.0, 50.0])
+    assert np.array_equal(special.airy_both(mixed)[0][[0, 2]], scipy_airy(mixed[[0, 2]])[0])
+
+
+def test_airy_continuous_across_ten():
+    below = special.airy_both(np.nextafter(10.0, 0.0))
+    at = special.airy_both(10.0)
+    assert abs(at[0] / below[0] - 1.0) <= 1e-14
+    assert abs(at[1] / below[1] - 1.0) <= 1e-14
+
+
+def test_airy_never_subnormal():
+    ai, aip = special.airy_both(np.linspace(95.0, 120.0, 5001))
+    for v in (ai, aip):
+        assert np.all((v == 0.0) | (np.abs(v) >= np.finfo(float).tiny))
+    assert ai[-1] == 0.0 and aip[-1] == 0.0
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, np.array([1.0, 20.0, np.inf])])
+def test_airy_non_finite_raises_without_warning(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            special.airy_both(x)
 
 
 def test_airy_underflow_is_silent_zero():
@@ -109,6 +154,51 @@ def test_gauss_rule_poly_exactness(degree):
 def test_half_line_rule():
     rule = special.half_line_rule(60)
     assert rule.weights @ np.exp(-rule.nodes) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_gauss_legendre_nodes_cached_read_only_and_unchanged():
+    t, w = special._legendre(80)
+    assert special._legendre(80)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    ref_t, ref_w = np.polynomial.legendre.leggauss(80)
+    rule = special.half_line_rule(80, 4.0)
+    assert np.array_equal(rule.nodes, 4.0 * (1.0 + ref_t) / (1.0 - ref_t))
+    assert np.array_equal(rule.weights, ref_w * 2.0 * 4.0 / (1.0 - ref_t) ** 2)
+    rule = special.gauss_legendre_rule(-1.5, 2.5, 80)
+    assert np.array_equal(rule.nodes, 0.5 + 2.0 * ref_t) and np.array_equal(rule.weights, 2.0 * ref_w)
+
+
+def _simpson_samples(n, seed=7):
+    x = np.sort(np.random.default_rng([seed, n]).uniform(-2.0, 3.0, n))
+    return x, np.exp(-x) * np.cos(5.0 * x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 123, 361, 362, 1401])
+def test_simpson_port_equals_scipy(n):
+    x, y = _simpson_samples(n)
+    assert np.array_equal(special.simpson(y, x), integrate.simpson(y, x=x))
+    table = np.stack([y, y * y, np.sin(x)], axis=1)
+    assert np.array_equal(special.simpson(table, x, axis=0), integrate.simpson(table, x=x, axis=0))
+    assert np.array_equal(special.simpson(table.T, x), integrate.simpson(table.T, x=x))
+
+
+@pytest.mark.parametrize("n", [3, 4, 123, 362, 1401])
+def test_cumulative_simpson_port_equals_scipy(n):
+    x, y = _simpson_samples(n)
+    assert np.array_equal(special.cumulative_simpson(y, x, 0.0),
+                          integrate.cumulative_simpson(y, x=x, initial=0.0))
+    table = np.stack([y, y * y])
+    assert np.array_equal(special.cumulative_simpson(table, x, 1.5),
+                          integrate.cumulative_simpson(table, x=x, initial=1.5))
+
+
+def test_simpson_ports_on_the_hastings_mcleod_grid(sol):
+    s, q = sol.s_grid, sol.q
+    for y in (q, q * q, s * q * q):
+        assert np.array_equal(special.simpson(y, s), integrate.simpson(y, x=s))
+        assert np.array_equal(special.simpson(y[1:], s[1:]), integrate.simpson(y[1:], x=s[1:]))
+        assert np.array_equal(special.cumulative_simpson(y, s, 0.0),
+                              integrate.cumulative_simpson(y, x=s, initial=0.0))
 
 
 def _damped_ladder(f, eps, rule):
