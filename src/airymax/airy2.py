@@ -39,8 +39,8 @@ from .errors import (DomainError, MisconfigurationError, RangeError, ResolutionE
                      TailRegularizationError)
 from .lax import psi_at_s
 from .painleve import tracy_widom_f1
-from .special import (airy_both, cumulative_simpson, gauss_legendre_rule, neville_at_zero,
-                      simpson)
+from .special import (airy_both, cumulative_simpson, gauss_legendre_rule, legendre_nodes,
+                      neville_at_zero, simpson)
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 TWO_43 = 2.0 ** (4.0 / 3.0)
@@ -246,8 +246,7 @@ def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
     n = int(round((s_hi - s_lo) / step))
     h = -(s_hi - s_lo) / n
     half = s_hi + 0.5 * h * np.arange(2 * n + 1)
-    U = sol.potential(half)
-    Up = sol.potential_prime(half)
+    U, Up = sol.potentials(half)
     # f''' = c0 f + c1 f' + c2 f''
     c0_base = (3.0 * Up + 2.0) / 4.0
     c1 = (6.0 * U + half) / 4.0
@@ -316,9 +315,9 @@ def _taylor_to(prof, sol, node, s_points):
     weights (n_s, 6) and the values (n_s, 6, n_cols)."""
     s_node = prof.s_grid[node]
     gap = s_node - s_points
-    t, wt = np.polynomial.legendre.leggauss(6)
+    t, wt = legendre_nodes(6)
     d = (-0.5 * gap[:, None] * (1.0 + t))[..., None]       # x - s_node
-    u, up = sol.potential(s_node)[:, None], sol.potential_prime(s_node)[:, None]
+    u, up = (v[:, None] for v in sol.potentials(s_node))
     f0, f1, f2 = prof.f[node], prof.f_s[node], prof.f_ss[node]
     w = prof.w_values
     f3 = (((3.0 * up + 2.0 - 2.0 * w * u) * f0 + (6.0 * u + s_node[:, None]) * f1) / 4.0

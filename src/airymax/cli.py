@@ -25,30 +25,15 @@ EXIT_COMPUTE = 2
 EXIT_VALIDATION = 3
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows):
-    """Write header and rows as CSV, numbers as %.17g.
-
-    Rows that form a float table are formatted in one pass; other rows go
-    through csv.writer field by field.  Both give the same bytes."""
-    try:
-        table = np.asarray(rows)
-    except ValueError:                      # ragged rows
-        table = None
+    """Write header and the numeric rows as CSV, numbers as %.17g (the bytes
+    of csv.writer with format(v, ".17g")), in one formatting pass."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        if table is not None and table.ndim == 2 and table.dtype.kind == "f":
-            line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-            fh.write((line * table.shape[0]) % tuple(table.ravel().tolist()))
-        else:
-            for row in rows:
-                w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v
-                            for v in row])
+        csv.writer(fh).writerow(header)
+        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
     os.replace(tmp, path)
 
 

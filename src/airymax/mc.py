@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PrecisionError, StatisticsError
+from .special import legendre_nodes
 
 DUMP_MAGIC = b"AMCE"
 DUMP_VERSION = 1
@@ -268,7 +269,7 @@ def exact_marginals(N):
         except (DomainError, PrecisionError):
             continue
         m_lo = m_try
-    t_quad, w_quad = np.polynomial.legendre.leggauss(M_NODES)
+    t_quad, w_quad = legendre_nodes(M_NODES)
     m_nodes = 0.5 * (m_lo + m_cap) + 0.5 * (m_cap - m_lo) * t_quad
     m_weights = 0.5 * (m_cap - m_lo) * w_quad
     tau_grid = np.linspace(0.0, 1.0, TAU_POINTS)

@@ -117,6 +117,14 @@ class PainleveSolution:
     _aq2: _Spline = field(repr=False)
     _atq2: _Spline = field(repr=False)
     _tail_q: float = field(repr=False)
+    # the antiderivatives at s_max
+    _aq_total: float = field(init=False, repr=False)
+    _aq2_total: float = field(init=False, repr=False)
+    _atq2_total: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("_aq", "_aq2", "_atq2"):
+            object.__setattr__(self, name + "_total", getattr(self, name)(self.s_max))
 
     @property
     def s_min(self):
@@ -138,28 +146,33 @@ class PainleveSolution:
     def q_prime_at(self, s):
         return self._qp_spline(self._check(s))
 
-    def potential(self, s):
-        """u(s) = q^2 - q', the supersymmetric Schrodinger potential."""
+    def potentials(self, s):
+        """(u(s), u'(s)) from one evaluation of q and q': the supersymmetric
+        Schrodinger potential u = q^2 - q' and u' = 2 q q' - q'', with q''
+        taken from the defining equation."""
         s = self._check(s)
-        return self._q_spline(s) ** 2 - self._qp_spline(s)
+        q, qp = self._q_spline(s), self._qp_spline(s)
+        return q ** 2 - qp, 2.0 * q * qp - (2.0 * q ** 3 + s * q)
+
+    def potential(self, s):
+        """u(s) = q^2 - q'."""
+        return self.potentials(s)[0]
 
     def potential_prime(self, s):
-        """u'(s) = 2 q q' - q'' with q'' taken from the defining equation."""
-        s = self._check(s)
-        q = self._q_spline(s)
-        return 2.0 * q * self._qp_spline(s) - (2.0 * q ** 3 + s * q)
+        """u'(s) = 2 q q' - q''."""
+        return self.potentials(s)[1]
 
     def integral_q(self, s):
         s = self._check(s)
-        return (self._aq(self.s_max) - self._aq(s)) + self._tail_q
+        return (self._aq_total - self._aq(s)) + self._tail_q
 
     def integral_q2(self, s):
         s = self._check(s)
-        return self._aq2(self.s_max) - self._aq2(s)
+        return self._aq2_total - self._aq2(s)
 
     def integral_tq2(self, s):
         s = self._check(s)
-        return self._atq2(self.s_max) - self._atq2(s)
+        return self._atq2_total - self._atq2(s)
 
 
 def _ai_integral_tail(x):

@@ -9,7 +9,8 @@ points of 10 <= x <= 100 its relative error is at most 1.5e-13 for both, and
 8.7e-15 on 10 <= x <= 16 (scipy: 1.4e-13 and 7.4e-15; both are limited by
 the rounding of e^{-zeta}).  Ai is continuous across x = 10 to 4e-15
 relative.  No value is subnormal: a result below the smallest normal double
-(2.2e-308, past x ~ 104) is returned as exactly 0.  Non-finite x and
+(2.2e-308, past x ~ 104) is returned as exactly 0, and the series is
+evaluated at min(x, 110) so that no intermediate overflows.  Non-finite x and
 x < -2**20 (where scipy returns NaN) raise DomainError.
 
 simpson and cumulative_simpson are numpy ports of the scipy.integrate
@@ -46,7 +47,10 @@ _U, _V = _asymptotic_coefficients(_ASYMPTOTIC_TERMS)
 
 
 def _airy_asymptotic(x):
-    """Ai and Ai' for x >= 10 by their asymptotic series, Horner in 1/zeta."""
+    """Ai and Ai' for x >= 10 by their asymptotic series, Horner in 1/zeta.
+    Both are 0 past x = 110, so larger x is evaluated there; zeta cannot
+    overflow."""
+    x = np.minimum(x, 110.0)
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     r = 1.0 / zeta
     su, sv = _U[-1], _V[-1]
@@ -112,7 +116,7 @@ class QuadratureRule:
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre(n):
+def legendre_nodes(n):
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
     per n and returned as read-only arrays."""
     t, w = np.polynomial.legendre.leggauss(n)
@@ -122,7 +126,7 @@ def _legendre(n):
 
 def gauss_legendre_rule(a, b, n):
     """Single-panel Gauss-Legendre rule on [a, b]."""
-    t, w = _legendre(n)
+    t, w = legendre_nodes(n)
     half = 0.5 * (b - a)
     return QuadratureRule((a + b) / 2.0 + half * t, half * w, (a, b))
 
@@ -130,7 +134,7 @@ def gauss_legendre_rule(a, b, n):
 def composite_gauss_rule(edges, pts=12):
     """Composite Gauss-Legendre rule over consecutive panels."""
     edges = np.asarray(edges, dtype=float)
-    t, w = _legendre(pts)
+    t, w = legendre_nodes(pts)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
@@ -140,7 +144,7 @@ def composite_gauss_rule(edges, pts=12):
 
 def half_line_rule(n, scale=1.0):
     """Rule for integrals over [0, inf) via the algebraic map x = L(1+t)/(1-t)."""
-    t, w = _legendre(n)
+    t, w = legendre_nodes(n)
     x = scale * (1.0 + t) / (1.0 - t)
     wx = w * 2.0 * scale / (1.0 - t) ** 2
     return QuadratureRule(x, wx, (0.0, np.inf))
@@ -180,9 +184,9 @@ def neville_at_zero(eps, vals):
 
 def simpson(y, x, axis=-1):
     """Composite Simpson rule for y sampled at the strictly increasing 1-d x
-    along axis (at least three points).  With an even number of points the
-    rule covers all but the last interval, which gets Cartwright's
-    three-point correction.  A port of scipy.integrate.simpson."""
+    along axis.  With an even number of points the rule covers all but the
+    last interval, which gets Cartwright's three-point correction; two
+    points get the trapezoid rule.  A port of scipy.integrate.simpson."""
     y = np.asarray(y, dtype=float)
     n = y.shape[axis]
     shape = [1] * y.ndim
@@ -191,6 +195,9 @@ def simpson(y, x, axis=-1):
 
     def along(a, index):
         return a[(slice(None),) * (axis % y.ndim) + (index,)]
+
+    if n == 2:
+        return 0.5 * along(h, -1) * (along(y, -1) + along(y, -2))
 
     stop = n - 2 if n % 2 else n - 3
     h0, h1 = along(h, slice(0, stop, 2)), along(h, slice(1, stop + 1, 2))
@@ -210,10 +217,11 @@ def simpson(y, x, axis=-1):
 
 def cumulative_simpson(y, x, initial):
     """Running Simpson integrals of y sampled at the strictly increasing 1-d
-    x along the last axis (at least three points), with initial prepended.
-    Each interval's integral is the quadratic through it and its right-hand
-    neighbour (its left-hand one for the last interval), and the intervals
-    are summed in order.  A port of scipy.integrate.cumulative_simpson."""
+    x along the last axis, with initial prepended.  Each interval's integral
+    is the quadratic through it and its right-hand neighbour (its left-hand
+    one for the last interval), and the intervals are summed in order; with
+    fewer than three points the intervals are trapezoids.  A port of
+    scipy.integrate.cumulative_simpson."""
     y = np.asarray(y, dtype=float)
     dx = np.broadcast_to(np.diff(np.asarray(x, dtype=float)), y.shape[:-1] + (y.shape[-1] - 1,))
 
@@ -226,11 +234,14 @@ def cumulative_simpson(y, x, initial):
         return x21 / 6 * ((3 - x21_x31) * f[..., :-2] + (3 + x21x21_x31x32 + x21_x31) * f[..., 1:-1]
                           - x21x21_x31x32 * f[..., 2:])
 
-    left = first_of_pairs(y, dx)
-    right = first_of_pairs(y[..., ::-1], dx[..., ::-1])[..., ::-1]
-    pieces = np.empty(dx.shape)
-    pieces[..., :-1:2] = left[..., ::2]
-    pieces[..., 1::2] = right[..., ::2]
-    pieces[..., -1] = right[..., -1]
+    if y.shape[-1] < 3:
+        pieces = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    else:
+        left = first_of_pairs(y, dx)
+        right = first_of_pairs(y[..., ::-1], dx[..., ::-1])[..., ::-1]
+        pieces = np.empty(dx.shape)
+        pieces[..., :-1:2] = left[..., ::2]
+        pieces[..., 1::2] = right[..., ::2]
+        pieces[..., -1] = right[..., -1]
     res = np.cumsum(pieces, axis=-1) + initial
     return np.concatenate([np.broadcast_to(initial, res.shape[:-1] + (1,)), res], axis=-1)

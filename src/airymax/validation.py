@@ -112,7 +112,7 @@ def third_order_residual(sol, w, s_points, rule, h=0.3):
         f1 = float(_D1 @ f) / h
         f2 = float(_D2 @ f) / h ** 2
         f3 = float(_D3 @ f) / h ** 3
-        u = float(sol.potential(s0)); up = float(sol.potential_prime(s0))
+        u, up = map(float, sol.potentials(s0))
         terms = np.array([4.0 * f3, -2.0 * w * f2, -f1 * (6.0 * u + s0),
                           -f[3] * (3.0 * up + 2.0 - 2.0 * w * u)])
         resid = abs(terms.sum())

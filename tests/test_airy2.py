@@ -140,6 +140,15 @@ def test_s_above_transport_seed_raises():
     assert airy2.f_function(11.5, 0.5, sol=wide) > 0.0
 
 
+def test_joint_pdf_on_a_two_node_transport():
+    # s = 11.998 transports one 0.0025 step down from S_SEED = 12, so the
+    # inner integral runs over two nodes (a trapezoid)
+    from airymax.painleve import solve_hastings_mcleod
+    wide = solve_hastings_mcleod(s_max=16.0)
+    closed = float(airy2.joint_pdf_large_s(11.998, 0.5))
+    assert abs(airy2.joint_pdf(11.998, 0.5, sol=wide) / closed - 1.0) <= 1e-6
+
+
 def test_w_cap(sol):
     with pytest.raises(DomainError):
         airy2.f_function(0.0, 6.5, sol=sol)

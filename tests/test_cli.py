@@ -153,15 +153,13 @@ def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
     assert len(rows) == 27
     for M, tau, dens, cdf in rows:
         M, tau = float(M), float(tau)
-        assert dens == cli._fmt(finite_n.jpdf_finite_n(M, tau, 2))
-        assert cdf == cli._fmt(finite_n.cdf_max_finite_n(M, 2))
+        assert dens == format(float(finite_n.jpdf_finite_n(M, tau, 2)), ".17g")
+        assert cdf == format(float(finite_n.cdf_max_finite_n(M, 2)), ".17g")
 
 
 @pytest.mark.parametrize("rows", [
     np.random.default_rng(5).standard_normal((200, 3)) * np.logspace(-300, 300, 3),
     [(0.1, 1, np.float64(-0.0)), (float("inf"), -float("inf"), float("nan")), (1e-320, 2 ** 60, 7.0)],
-    [(0.5, "label"), (1.5, "other")],
-    [(1.0, 2.0), (3.0,)],
     [],
 ])
 def test_write_csv_equals_csv_writer(tmp_path, rows):
@@ -179,3 +177,17 @@ def test_jpdf_rows_in_grid_order(tmp_path):
     assert t.shape == (41 * 5, 3)
     assert np.array_equal(t[:5, 0], np.full(5, -1.0)) and np.array_equal(t[:5, 1], [-1, -0.5, 0, 0.5, 1])
     assert np.array_equal(t[5:10, 0], np.full(5, -0.95))
+
+
+def test_jpdf_two_point_s_grid(tmp_path, capsys):
+    # two s points: the s integral of the normalization estimate is a trapezoid
+    from scipy.integrate import simpson
+    out = tmp_path / "p.csv"
+    assert main(["jpdf", "--s-min", "0", "--s-max", "0.05", "--s-step", "0.05",
+                 "-o", str(out)]) == 0
+    t = np.loadtxt(out, delimiter=",", skiprows=1)
+    n_w = len(t) // 2
+    assert t.shape == (2 * n_w, 3) and np.array_equal(t[:, 0], np.repeat([0.0, 0.05], n_w))
+    p = t[:, 2].reshape(2, n_w)
+    norm = simpson(simpson(p, x=[0.0, 0.05], axis=0), x=t[:n_w, 1])
+    assert f"normalization estimate {norm:.6f}" in capsys.readouterr().out

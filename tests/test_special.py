@@ -113,10 +113,13 @@ def test_airy_continuous_across_ten():
 
 
 def test_airy_never_subnormal():
-    ai, aip = special.airy_both(np.linspace(95.0, 120.0, 5001))
+    x = np.concatenate([np.linspace(95.0, 120.0, 5001), [1e200, 1e300, np.finfo(float).max]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, aip = special.airy_both(x)
     for v in (ai, aip):
         assert np.all((v == 0.0) | (np.abs(v) >= np.finfo(float).tiny))
-    assert ai[-1] == 0.0 and aip[-1] == 0.0
+    assert np.all(ai[-4:] == 0.0) and np.all(aip[-4:] == 0.0)
 
 
 @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, np.array([1.0, 20.0, np.inf])])
@@ -157,8 +160,8 @@ def test_half_line_rule():
 
 
 def test_gauss_legendre_nodes_cached_read_only_and_unchanged():
-    t, w = special._legendre(80)
-    assert special._legendre(80)[0] is t
+    t, w = special.legendre_nodes(80)
+    assert special.legendre_nodes(80)[0] is t
     assert not t.flags.writeable and not w.flags.writeable
     ref_t, ref_w = np.polynomial.legendre.leggauss(80)
     rule = special.half_line_rule(80, 4.0)
@@ -173,7 +176,7 @@ def _simpson_samples(n, seed=7):
     return x, np.exp(-x) * np.cos(5.0 * x)
 
 
-@pytest.mark.parametrize("n", [3, 4, 123, 361, 362, 1401])
+@pytest.mark.parametrize("n", [2, 3, 4, 123, 361, 362, 1401])
 def test_simpson_port_equals_scipy(n):
     x, y = _simpson_samples(n)
     assert np.array_equal(special.simpson(y, x), integrate.simpson(y, x=x))
@@ -182,7 +185,7 @@ def test_simpson_port_equals_scipy(n):
     assert np.array_equal(special.simpson(table.T, x), integrate.simpson(table.T, x=x))
 
 
-@pytest.mark.parametrize("n", [3, 4, 123, 362, 1401])
+@pytest.mark.parametrize("n", [2, 3, 4, 123, 362, 1401])
 def test_cumulative_simpson_port_equals_scipy(n):
     x, y = _simpson_samples(n)
     assert np.array_equal(special.cumulative_simpson(y, x, 0.0),
