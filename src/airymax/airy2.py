@@ -243,7 +243,7 @@ def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
     w_arr = np.atleast_1d(np.asarray(w_values, dtype=float))
     if np.any(np.abs(w_arr) > W_CAP):
         raise DomainError(f"|w| capped at {W_CAP}")
-    n = int(round((s_hi - s_lo) / step))
+    n = max(1, int(round((s_hi - s_lo) / step)))   # s_lo within half a step of s_hi: one step
     h = -(s_hi - s_lo) / n
     half = s_hi + 0.5 * h * np.arange(2 * n + 1)
     U, Up = sol.potentials(half)

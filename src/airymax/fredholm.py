@@ -89,12 +89,3 @@ def mfqr_jpdf(m, t, n=140):
         raise DiscretizationFailureError(f"non-positive determinant at m = {m}")
     return float(2.0 ** (1.0 / 3.0) * np.exp(logdet) * (u @ y))
 
-
-def mfqr_large_m(m, t):
-    """Large-m estimate with the resolvent replaced by the identity:
-    4 int_m^inf [Ai'^2(t^2+z) - t^2 Ai^2(t^2+z)] dz, by Airy primitives."""
-    u0 = t * t + m
-    a0, ap0 = airy_both(u0)
-    i_ai2 = ap0 ** 2 - u0 * a0 ** 2
-    i_aip2 = -(2.0 / 3.0) * a0 * ap0 - (1.0 / 3.0) * u0 * ap0 ** 2 + (1.0 / 3.0) * u0 ** 2 * a0 ** 2
-    return float(4.0 * (i_aip2 - t * t * i_ai2))

@@ -14,7 +14,10 @@ ordered positive eigenvalues of a (2N+1) x (2N+1) real antisymmetric matrix
 whose entries are independent scalar Brownian bridges evolve as N
 non-intersecting excursions (for N = 1 this is the classical |3-d Brownian
 bridge| = excursion identity; the fixed-time eigenvalue density reproduces
-the prod x^2 * Vandermonde(x^2)^2 slice law).
+the prod x^2 * Vandermonde(x^2)^2 slice law).  The squared eigenvalues are
+the roots of a polynomial whose k-th coefficient sums the squared Pfaffians
+of the 2k x 2k principal blocks; one recursion builds every Pfaffian from
+those two sizes smaller, along its first row, at each grid time.
 
 Randomness is counter-based: sample i draws from Philox keyed by (seed, i),
 so results are reproducible and independent of batching order.
@@ -26,6 +29,7 @@ interpolant of F_N on those nodes.
 
 import struct
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -34,8 +38,12 @@ from .special import legendre_nodes
 
 DUMP_MAGIC = b"AMCE"
 DUMP_VERSION = 1
+_HEADER = struct.Struct("<4sIIIQQdQ")   # magic, version, N, steps, n, seed, rate, attempts
 M_NODES = 96        # Gauss-Legendre nodes in M of exact_marginals
 TAU_POINTS = 241    # trapezoid points in tau of exact_marginals
+HIST_BINS = 24      # bins per axis of the extreme_stats histogram
+CHI2_CELLS = 4      # quantile cells per axis of the compare_to_exact chi^2
+CHI2_MIN_EXPECTED = 5.0   # least expected count per chi^2 cell
 
 
 @dataclass(frozen=True)
@@ -48,10 +56,13 @@ class PathEnsemble:
     seed: int
     acceptance_rate: float       # 1.0: every draw is accepted
     attempts: int = 0
-    method: str = "auto"         # "rejection" (N = 1 cycle shift) or "matrix"
 
     def __len__(self):
         return len(self.samples)
+
+    @property
+    def method(self):        # perfbench's tracer counts Gaussians from this label
+        return "rejection" if self.N == 1 else "matrix"
 
     @property
     def maxima(self):
@@ -80,83 +91,44 @@ def _excursion(seed, index, steps):
     (seed, index), cycle-shifted to start at its minimum."""
     bridge = _bridges(_rng_for(seed, index), 1, steps)[0]
     m = int(np.argmin(bridge[:-1]))
-    exc = np.empty_like(bridge)
-    exc[:-1] = np.concatenate([bridge[m:-1], bridge[:m]]) - bridge[m]
-    exc[-1] = 0.0
-    return exc
+    return np.concatenate([bridge[m:-1], bridge[:m + 1]]) - bridge[m]
 
 
-# 4-subsets of {0..4} and their Pfaffians index the 5x5 antisymmetric
-# characteristic polynomial; pair/triple index helpers below
-_PAIRS5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-_PAIR_INDEX5 = {p: k for k, p in enumerate(_PAIRS5)}
-_PAIRS7 = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-_PAIR_INDEX7 = {p: k for k, p in enumerate(_PAIRS7)}
+def _top_eigenpath(a, dim):
+    """Top positive eigenvalue path of the dim x dim (dim = 5, 7)
+    antisymmetric bridge matrix whose upper triangle a holds row by row.
 
-
-def _pfaffian4_terms(subset, pair_index):
-    i, j, k, l = subset
-    return (pair_index[(i, j)], pair_index[(k, l)],
-            pair_index[(i, k)], pair_index[(j, l)],
-            pair_index[(i, l)], pair_index[(j, k)])
-
-
-def _top_eigenpaths_n2(a):
-    """Ordered positive eigenvalue paths of the 5x5 antisymmetric bridge.
-
-    a has shape (10, n_times); char poly is -lam (lam^4 - alpha lam^2 + beta)
-    with alpha = sum a_ij^2 and beta = sum of squared 4x4 principal Pfaffians.
+    mu = lam^2 solves sum_k (-1)^k e_k mu^{n-k} = 0, n = (dim - 1) / 2, where
+    e_k sums the squared Pfaffians of the 2k x 2k principal blocks.  Each is
+    expanded along its first row into Pfaffians two sizes smaller, computed
+    once.  The roots are the quadratic (dim 5) and trigonometric cubic
+    (dim 7) formulas.
     """
-    from itertools import combinations
-    alpha = np.sum(a * a, axis=0)
-    beta = np.zeros_like(alpha)
-    for subset in combinations(range(5), 4):
-        p = _pfaffian4_terms(subset, _PAIR_INDEX5)
-        pf = a[p[0]] * a[p[1]] - a[p[2]] * a[p[3]] + a[p[4]] * a[p[5]]
-        beta += pf * pf
-    disc = np.sqrt(np.maximum(alpha * alpha - 4.0 * beta, 0.0))
-    mu_hi = 0.5 * (alpha + disc)
-    return np.sqrt(mu_hi)
-
-
-def _top_eigenpaths_n3(a):
-    """Top positive eigenvalue path of the 7x7 antisymmetric bridge.
-
-    Char poly: -lam (lam^6 - alpha lam^4 + beta lam^2 - gamma); the cubic in
-    mu = lam^2 is solved by the trigonometric formula (three real roots).
-    """
-    from itertools import combinations
-    alpha = np.sum(a * a, axis=0)
-    beta = np.zeros_like(alpha)
-    for subset in combinations(range(7), 4):
-        p = _pfaffian4_terms(subset, _PAIR_INDEX7)
-        pf = a[p[0]] * a[p[1]] - a[p[2]] * a[p[3]] + a[p[4]] * a[p[5]]
-        beta += pf * pf
-    gamma = np.zeros_like(alpha)
-    for subset in combinations(range(7), 6):
-        pf = _pfaffian6(a, subset, _PAIR_INDEX7)
-        gamma += pf * pf
-    # depressed cubic for mu: mu^3 - alpha mu^2 + beta mu - gamma = 0
+    pf = dict(zip(combinations(range(dim), 2), a))
+    e = []
+    for size in range(2, dim, 2):
+        total = np.zeros(a.shape[1])
+        for block in combinations(range(dim), size):
+            if size > 2:
+                head, rest = block[0], block[1:]
+                value = pf[head, rest[0]] * pf[rest[1:]]
+                for pos in range(1, size - 1):
+                    term = pf[head, rest[pos]] * pf[rest[:pos] + rest[pos + 1:]]
+                    value = value - term if pos % 2 else value + term
+                pf[block] = value
+            total += pf[block] * pf[block]
+        e.append(total)
+    alpha, beta = e[0], e[1]
+    if dim == 5:
+        disc = np.sqrt(np.maximum(alpha * alpha - 4.0 * beta, 0.0))
+        return np.sqrt(0.5 * (alpha + disc))
+    # depressed cubic for mu: mu^3 - alpha mu^2 + beta mu - e[2] = 0
     p = beta - alpha * alpha / 3.0
-    q = -gamma + alpha * beta / 3.0 - 2.0 * alpha ** 3 / 27.0
+    q = -e[2] + alpha * beta / 3.0 - 2.0 * alpha ** 3 / 27.0
     r = np.sqrt(np.maximum(-p / 3.0, 1e-300))
     arg = np.clip(-q / (2.0 * r ** 3), -1.0, 1.0)
     mu_top = alpha / 3.0 + 2.0 * r * np.cos(np.arccos(arg) / 3.0)
     return np.sqrt(np.maximum(mu_top, 0.0))
-
-
-def _pfaffian6(a, subset, pair_index):
-    """Pfaffian of the 6x6 principal block, by expansion along the first row."""
-    i0 = subset[0]
-    rest = subset[1:]
-    total = 0.0
-    for pos, j in enumerate(rest):
-        others = [x for x in rest if x != j]
-        s4 = tuple(others)
-        p = _pfaffian4_terms(s4, pair_index)
-        pf4 = a[p[0]] * a[p[1]] - a[p[2]] * a[p[3]] + a[p[4]] * a[p[5]]
-        total = total + (-1.0) ** pos * a[pair_index[(i0, j)]] * pf4
-    return total
 
 
 def _top_path(N, seed, index, steps):
@@ -165,8 +137,14 @@ def _top_path(N, seed, index, steps):
     if N == 1:
         return _excursion(seed, index, steps)
     dim = 2 * N + 1
-    a = _bridges(_rng_for(seed, index), dim * (dim - 1) // 2, steps)
-    return _top_eigenpaths_n2(a) if N == 2 else _top_eigenpaths_n3(a)
+    return _top_eigenpath(_bridges(_rng_for(seed, index), dim * (dim - 1) // 2, steps), dim)
+
+
+def _check_walkers(N, steps):
+    if N not in (1, 2, 3):
+        raise DomainError(f"samplers exist for N = 1, 2, 3, not N = {N}")
+    if steps < 2000:
+        raise DomainError("steps >= 2000 required")
 
 
 def sample_ensemble(N, steps, n_samples, seed):
@@ -175,10 +153,7 @@ def sample_ensemble(N, steps, n_samples, seed):
     N = 1 uses the cycle shift, N = 2, 3 the matrix realization; any other N
     raises DomainError at entry.  Non-finite samples raise PrecisionError.
     """
-    if N not in (1, 2, 3):
-        raise DomainError(f"samplers exist for N = 1, 2, 3, not N = {N}")
-    if steps < 2000:
-        raise DomainError("steps >= 2000 required")
+    _check_walkers(N, steps)
     samples = np.empty((n_samples, 2))
     for i in range(n_samples):
         path = _top_path(N, seed, i, steps)
@@ -188,8 +163,7 @@ def sample_ensemble(N, steps, n_samples, seed):
     if bad:
         raise PrecisionError(f"{bad} of {n_samples} samples are not finite")
     return PathEnsemble(N=N, steps=steps, samples=samples, seed=int(seed),
-                        acceptance_rate=1.0, attempts=n_samples,
-                        method="rejection" if N == 1 else "matrix")
+                        acceptance_rate=1.0, attempts=n_samples)
 
 
 @dataclass(frozen=True)
@@ -207,14 +181,12 @@ class EnsembleSummary:
     hist_edges_tau: np.ndarray = field(repr=False)
 
 
-def extreme_stats(ensemble, bins_m=24, bins_tau=24):
+def extreme_stats(ensemble):
     """Unbiased moments with standard errors plus the 2-d histogram."""
     if len(ensemble) == 0:
         raise StatisticsError("empty ensemble")
-    m = ensemble.maxima
-    t = ensemble.argmax_times
-    n = len(m)
-    counts, em, et = np.histogram2d(m, t, bins=(bins_m, bins_tau))
+    m, t, n = ensemble.maxima, ensemble.argmax_times, len(ensemble)
+    counts, em, et = np.histogram2d(m, t, bins=HIST_BINS)
     corr = float(np.corrcoef(m, t)[0, 1]) if n > 1 else np.nan
     return EnsembleSummary(
         n=n,
@@ -308,11 +280,10 @@ def exact_marginals(N):
                             "raw_mass": raw_mass}
 
 
-def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
+def compare_to_exact(ensemble):
     """KS statistics for both marginals and a chi^2 on the 2-d histogram
-    against the exact finite-N density (N <= 3)."""
-    if ensemble.N > 3:
-        raise DomainError("exact comparison supported for N <= 3")
+    against the exact finite-N density (N = 1, 2, 3)."""
+    _check_walkers(ensemble.N, ensemble.steps)
     from .finite_n import build_op_table, jpdf_finite_n
 
     cdf_m, cdf_tau, meta = exact_marginals(ensemble.N)
@@ -320,7 +291,7 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
     ks_t = ks_statistic(ensemble.argmax_times, cdf_tau)
 
     n = len(ensemble)
-    qs = np.linspace(0.0, 1.0, n_cells + 1)
+    qs = np.linspace(0.0, 1.0, CHI2_CELLS + 1)
     edges_m = np.quantile(ensemble.maxima, qs)
     edges_t = np.quantile(ensemble.argmax_times, qs)
     edges_m[0], edges_m[-1] = 0.0, max(edges_m[-1] * 1.5, edges_m[-1] + 1.0)
@@ -330,11 +301,11 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
 
     # expected cell masses by 4 x 4 midpoint quadrature of the exact jpdf:
     # one op table per M midpoint serves every tau midpoint
-    tt = np.array([np.linspace(edges_t[j], edges_t[j + 1], 9)[1::2] for j in range(n_cells)])
+    tt = np.array([np.linspace(edges_t[j], edges_t[j + 1], 9)[1::2] for j in range(CHI2_CELLS)])
     inner = (tt > 0.0) & (tt < 1.0)
     expected = np.empty_like(counts)
-    for i in range(n_cells):
-        cell = np.zeros(n_cells)
+    for i in range(CHI2_CELLS):
+        cell = np.zeros(CHI2_CELLS)
         for M in np.linspace(edges_m[i], edges_m[i + 1], 9)[1::2]:
             dens = np.zeros_like(tt)
             try:
@@ -345,11 +316,10 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
             cell += dens.sum(axis=1)
         area = (edges_m[i + 1] - edges_m[i]) * (edges_t[1:] - edges_t[:-1]) / 16.0
         expected[i] = cell * area * n
-    if np.any(expected < min_expected):
+    if np.any(expected < CHI2_MIN_EXPECTED):
         raise StatisticsError("expected counts below the chi^2 validity floor")
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    dof = n_cells * n_cells - 1
-    return {"ks_max": ks_m, "ks_tau": ks_t, "chi2": chi2, "dof": dof,
+    return {"ks_max": ks_m, "ks_tau": ks_t, "chi2": chi2, "dof": CHI2_CELLS ** 2 - 1,
             "acceptance_rate": ensemble.acceptance_rate,
             "mean_tau": float(np.mean(ensemble.argmax_times)),
             "stderr_tau": float(np.std(ensemble.argmax_times, ddof=1) / np.sqrt(n))}
@@ -358,30 +328,29 @@ def compare_to_exact(ensemble, n_cells=4, min_expected=5.0):
 def save_ensemble(ensemble, path):
     """Binary dump: versioned header + little-endian samples; seed recorded."""
     with open(path, "wb") as fh:
-        fh.write(DUMP_MAGIC)
-        fh.write(struct.pack("<I", DUMP_VERSION))
-        fh.write(struct.pack("<IIQ", ensemble.N, ensemble.steps, len(ensemble)))
-        fh.write(struct.pack("<QdQ", ensemble.seed, ensemble.acceptance_rate,
-                             ensemble.attempts))
+        fh.write(_HEADER.pack(DUMP_MAGIC, DUMP_VERSION, ensemble.N, ensemble.steps,
+                              len(ensemble), ensemble.seed, ensemble.acceptance_rate,
+                              ensemble.attempts))
         fh.write(np.ascontiguousarray(ensemble.samples, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, count):
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise DomainError(f"truncated ensemble dump: {len(raw)} of {count} bytes")
-    return raw
-
-
 def load_ensemble(path):
+    """Read a save_ensemble dump; DomainError unless it has the magic, the
+    version, a sampled N and steps, and exactly the n samples of its header."""
     with open(path, "rb") as fh:
-        if fh.read(4) != DUMP_MAGIC:
-            raise DomainError("not an ensemble dump")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != DUMP_VERSION:
-            raise DomainError(f"unsupported dump version {version}")
-        N, steps, n = struct.unpack("<IIQ", _read_exact(fh, 16))
-        seed, rate, attempts = struct.unpack("<QdQ", _read_exact(fh, 24))
-        samples = np.frombuffer(_read_exact(fh, 16 * n), dtype="<f8").reshape(n, 2).astype(float)
+        raw = fh.read()
+    if raw[:4] != DUMP_MAGIC:
+        raise DomainError("not an ensemble dump")
+    if len(raw) < _HEADER.size:
+        raise DomainError(f"truncated ensemble dump: {len(raw)} of {_HEADER.size} header bytes")
+    _, version, N, steps, n, seed, rate, attempts = _HEADER.unpack_from(raw)
+    if version != DUMP_VERSION:
+        raise DomainError(f"unsupported dump version {version}")
+    _check_walkers(N, steps)
+    size = _HEADER.size + 16 * n
+    if len(raw) != size:
+        kind = "truncated" if len(raw) < size else "overlong"
+        raise DomainError(f"{kind} ensemble dump: {len(raw)} of {size} bytes")
+    samples = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, 2).astype(float)
     return PathEnsemble(N=N, steps=steps, samples=samples, seed=seed,
                         acceptance_rate=rate, attempts=attempts)

@@ -149,6 +149,18 @@ def test_joint_pdf_on_a_two_node_transport():
     assert abs(airy2.joint_pdf(11.998, 0.5, sol=wide) / closed - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("s", [11.9995, 12.0])
+def test_transport_within_half_a_step_of_the_seed(s):
+    # s within half a 0.0025 step of S_SEED = 12 still takes one step: it
+    # took none, so f divided by zero and P came out NaN
+    from airymax.painleve import solve_hastings_mcleod
+    wide = solve_hastings_mcleod(s_max=16.0)
+    f = airy2.f_function(s, 0.5, sol=wide)
+    assert f == pytest.approx(float(airy2.f_closed(s, 0.5)), rel=1e-12)
+    P = airy2.joint_pdf(s, 0.5, sol=wide)
+    assert P == pytest.approx(float(airy2.joint_pdf_large_s(s, 0.5)), rel=1e-6)
+
+
 def test_w_cap(sol):
     with pytest.raises(DomainError):
         airy2.f_function(0.0, 6.5, sol=sol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airymax import fredholm
+from airymax import airy2, fredholm
 from airymax.errors import DomainError
 from airymax.painleve import tracy_widom_f1
 from airymax.special import airy_both
@@ -65,8 +65,10 @@ def test_mfqr_symmetry_in_t():
 
 
 def test_mfqr_large_m_estimate():
+    # with the resolvent replaced by the identity, the MFQR density is the
+    # large-s form of P(s, w) at s = 2^{2/3} m, w = 2^{4/3} t
     val = fredholm.mfqr_jpdf(6.0, 0.5)
-    est = fredholm.mfqr_large_m(6.0, 0.5)
+    est = 4.0 * airy2.joint_pdf_large_s(2.0 ** (2.0 / 3.0) * 6.0, 2.0 ** (4.0 / 3.0) * 0.5)
     assert val == pytest.approx(est, rel=1e-2)
 
 

@@ -38,11 +38,35 @@ def test_excursion_paths_positive_and_pinned():
 
 def test_matrix_paths_ordered_nonnegative():
     a = mc._bridges(mc._rng_for(3, 0), 10, 2000)
-    lam_top = mc._top_eigenpaths_n2(a)
+    lam_top = mc._top_eigenpath(a, 5)
     assert np.all(lam_top >= 0.0)
     # top eigenvalue dominates the second root
     alpha = np.sum(a * a, axis=0)
     assert np.all(lam_top ** 2 >= alpha / 2.0 - 1e-12)
+
+
+@pytest.mark.parametrize("dim", [5, 7])
+def test_top_eigenpath_against_eigensolve(dim):
+    # the Pfaffian recursion against a batched symmetric eigensolve of A^T A,
+    # at the interior times (the ends are the zero matrix)
+    a = mc._bridges(mc._rng_for(21, dim), dim * (dim - 1) // 2, 2000)
+    A = np.zeros((a.shape[1], dim, dim))
+    rows, cols = np.triu_indices(dim, 1)
+    A[:, rows, cols] = a.T
+    A[:, cols, rows] = -a.T
+    top = np.sqrt(np.linalg.eigvalsh(np.swapaxes(A, 1, 2) @ A)[:, -1])
+    assert np.max(np.abs(mc._top_eigenpath(a, dim)[1:-1] - top[1:-1])) <= 1e-13
+
+
+def test_dim7_paths_match_frozen_fingerprint():
+    # sha256 of the little-endian N = 3 top paths of draws (3, 0..4), NaN
+    # ends included, as the hand-expanded 7 x 7 Pfaffians gave them
+    digest = hashlib.sha256()
+    with np.errstate(invalid="ignore"):
+        for i in range(5):
+            path = mc._top_eigenpath(mc._bridges(mc._rng_for(3, i), 21, 2000), 7)
+            digest.update(path.astype("<f8").tobytes())
+    assert digest.hexdigest() == "ccbad17e0a05ef921479173dabfc602c77cda108452d3011b114dde80e1e1e98"
 
 
 def test_samples_in_range():
@@ -121,7 +145,7 @@ def test_chi2_validity_floor():
 
 
 @pytest.mark.xfail(strict=True, raises=PrecisionError,
-                   reason="ROADMAP item 4(a): _top_eigenpaths_n3 divides 0/0 at t = 0 and "
+                   reason="ROADMAP item 4(a): _top_eigenpath(a, 7) divides 0/0 at t = 0 and "
                           "t = 1, so every N = 3 sample is (nan, 0.0)")
 def test_n3_samples_are_finite():
     ens = mc.sample_ensemble(3, 2000, 5, seed=3)
@@ -173,6 +197,23 @@ def test_truncated_dump_is_typed(tmp_path, keep):
     mc.save_ensemble(ens, str(path))
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(DomainError, match="truncated"):
+        mc.load_ensemble(str(path))
+
+
+@pytest.mark.parametrize("N, steps, extra, match", [
+    (1, 2000, 40, "overlong ensemble dump: 408 of 368 bytes"),
+    (4, 2000, 0, "not N = 4"),
+    (0, 2000, 0, "not N = 0"),
+    (2, 1999, 0, "steps >= 2000"),
+], ids=["trailing_bytes", "N4", "N0", "steps1999"])
+def test_dump_length_and_header_are_checked(tmp_path, N, steps, extra, match):
+    # trailing bytes past the n samples, and a header no sampler could write
+    ens = mc.PathEnsemble(N=N, steps=steps, samples=np.ones((20, 2)), seed=5,
+                          acceptance_rate=1.0, attempts=20)
+    path = tmp_path / "ens.bin"
+    mc.save_ensemble(ens, str(path))
+    path.write_bytes(path.read_bytes() + bytes(extra))
+    with pytest.raises(DomainError, match=match):
         mc.load_ensemble(str(path))
 
 
