@@ -151,8 +151,8 @@ def test_joint_pdf_on_a_two_node_transport():
 
 @pytest.mark.parametrize("s", [11.9995, 12.0])
 def test_transport_within_half_a_step_of_the_seed(s):
-    # s within half a 0.0025 step of S_SEED = 12 still takes one step: it
-    # took none, so f divided by zero and P came out NaN
+    # s within half a 0.0025 step of S_SEED = 12 must still take one step;
+    # with none, f divides by zero and P is NaN
     from airymax.painleve import solve_hastings_mcleod
     wide = solve_hastings_mcleod(s_max=16.0)
     f = airy2.f_function(s, 0.5, sol=wide)
