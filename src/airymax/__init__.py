@@ -8,8 +8,7 @@ independent Fredholm/resolvent, brute-force and Monte-Carlo oracles.
 
 from .airy2 import (JointDensityGrid, TailConstants, airy2_jpdf, argmax_marginal,
                     build_joint_density_grid, f_closed, f_function, joint_pdf,
-                    joint_pdf_h_form, joint_pdf_large_s, marginal_w, tail_analysis,
-                    transport_profile)
+                    joint_pdf_large_s, marginal_w, tail_analysis, transport_profile)
 from .fredholm import AiryKernelDiscretization, airy_kernel, f1_fredholm, mfqr_jpdf
 from .finite_n import (FiniteNModel, LargeDeviationPoint, ScalingCoordinates,
                        build_op_table, cdf_max_finite_n, double_scaling_check,

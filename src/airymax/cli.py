@@ -15,7 +15,7 @@ from . import airy2, fredholm, mc
 from .errors import DomainError
 from .finite_n import (build_op_table, cdf_max_finite_n, edge_law_convergence, jpdf_finite_n,
                        large_deviation_eval)
-from .painleve import solve_hastings_mcleod, tracy_widom_f1
+from .painleve import export_table, solve_hastings_mcleod
 
 SCHEMA_VERSION = 1
 
@@ -37,30 +37,22 @@ def write_csv(path, header, rows):
     os.replace(tmp, path)
 
 
-def write_json(path, payload, columns=None):
+def write_json(path, payload, columns):
     doc = {"schema": SCHEMA_VERSION, "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-           "columns": columns or {}, "data": payload}
+           "columns": columns, "data": payload}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=1, default=float)
     os.replace(tmp, path)
 
 
-def _solution():
-    return solve_hastings_mcleod()
-
-
 def cmd_tw_f1(args):
     if args.s_min >= args.s_max or args.step <= 0:
         raise DomainError("need s_min < s_max and step > 0")
-    sol = _solution()
     s = np.round(np.arange(args.s_min, args.s_max + args.step / 2, args.step), 12)
-    pl = tracy_widom_f1(s, sol)
+    table = export_table(solve_hastings_mcleod(), s)
     fr = np.array([fredholm.f1_fredholm(v) for v in s])
-    q = sol.q_at(s)
-    qp = sol.q_prime_at(s)
-    rows = [(si, qi, qpi, a, b, abs(a - b))
-            for si, qi, qpi, a, b in zip(s, q, qp, pl, fr)]
+    rows = [(*row, b, abs(row[3] - b)) for row, b in zip(table, fr)]
     header = ["s", "q", "q_prime", "f1_painleve", "f1_fredholm", "abs_diff"]
     _emit(args, header, rows, {
         "q": "Hastings-McLeod solution of Painleve II",
@@ -74,7 +66,7 @@ def cmd_tw_f1(args):
 
 
 def cmd_jpdf(args):
-    sol = _solution()
+    sol = solve_hastings_mcleod()
     grid = airy2.build_joint_density_grid(sol, s_lo=args.s_min, s_hi=args.s_max,
                                           s_step=args.s_step, w_max=args.w_max,
                                           w_step=args.w_step)
@@ -91,7 +83,7 @@ def cmd_jpdf(args):
 def cmd_marginal(args):
     if not (args.w_step > 0 and args.w_max >= 0):
         raise DomainError("need w_step > 0 and w_max >= 0")
-    sol = _solution()
+    sol = solve_hastings_mcleod()
     grid = airy2.build_joint_density_grid(sol, w_max=max(args.w_max, 4.25))
     ws = np.round(np.arange(0.0, args.w_max + args.w_step / 2, args.w_step), 12)
     pw = airy2.marginal_w(ws, grid)
@@ -107,7 +99,7 @@ def cmd_marginal(args):
 
 
 def cmd_airy2(args):
-    sol = _solution()
+    sol = solve_hastings_mcleod()
     rows = []
     for (m, t) in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.5, -0.5), (1.0, 0.0)]:
         ours = airy2.airy2_jpdf(m, t, sol=sol)
@@ -123,7 +115,6 @@ def cmd_airy2(args):
 def cmd_finite_n(args):
     if not (args.m_step > 0 and args.m_min <= args.m_max):
         raise DomainError("need m_step > 0 and m_min <= m_max")
-    sol = _solution()
     N = args.walkers
     rows = []
     for M in np.round(np.arange(args.m_min, args.m_max + args.m_step / 2, args.m_step), 12):
@@ -134,7 +125,7 @@ def cmd_finite_n(args):
     _emit(args, ["M", "tau", "joint_density", "cdf_max"], rows, {
         "joint_density": f"exact joint density at N = {N}",
         "cdf_max": "cumulative distribution of the maximal height"})
-    conv_rows, sups = edge_law_convergence(sol)
+    conv_rows, sups = edge_law_convergence(solve_hastings_mcleod())
     if args.convergence_output:
         write_csv(args.convergence_output,
                   ["N", "s", "cdf_rescaled", "f1", "abs_diff"], conv_rows)
@@ -274,7 +265,6 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _validate_common(args)
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -284,12 +274,6 @@ def main(argv=None):
         print(f"computation failed: {exc}", file=sys.stderr)
         _cleanup_partial(args)
         return EXIT_COMPUTE
-
-
-def _validate_common(args):
-    for attr, lo in (("steps", 2000), ("samples", 1), ("walkers", 1)):
-        if hasattr(args, attr) and getattr(args, attr) < lo:
-            raise DomainError(f"{attr} must be >= {lo}")
 
 
 def _cleanup_partial(args):

@@ -190,8 +190,9 @@ def build_op_table(M, N):
     return FiniteNModel(M=float(M), N=int(N), n_max=n_max, gamma=gammas, log_h=log_h)
 
 
-def recurrence_table(M, deg_max, n_max=None):
+def recurrence_table(M, deg_max):
     """gamma_k (k <= deg_max) for the double-scaling analysis; no N cap.
+    M must be finite and > 0, and deg_max >= 1.
 
     Near and beyond the transition degree ~ M^2 the wave functions press
     against the lattice Nyquist momentum and spread to |n| ~ (2/pi) deg, past
@@ -200,10 +201,9 @@ def recurrence_table(M, deg_max, n_max=None):
     agree with a 30-digit Stieltjes to 7e-16 at degrees 700-904 for M = 30,
     and with 60 digits to 1e-14 up to degree 200 = 2 M^2 for M = 10.
     """
-    if n_max is None:
-        n_max = max(suggested_n_max(M, deg_max), int(math.ceil(0.66 * deg_max + 60.0)))
-    if deg_max > 2 * n_max:
-        raise DomainError("degree exceeds the lattice support")
+    if not (math.isfinite(M) and M > 0.0 and deg_max >= 1):
+        raise DomainError("need finite M > 0 and deg_max >= 1")
+    n_max = max(suggested_n_max(M, deg_max), int(math.ceil(0.66 * deg_max + 60.0)))
     return _stieltjes(M, n_max, deg_max)[1]
 
 
@@ -349,10 +349,7 @@ def g_function(model, k, u):
     dual, a sum of a few non-cancelling Hermite-function terms; elsewhere
     directly on a lattice whose dropped tail is below e^-45 of the peak term.
     """
-    if not abs(u) < 0.5:
-        raise DomainError("|u| < 1/2 required")
-    _check_k(model, k)
-    return float(_g_table(model, k, np.array([float(u)]))[k - 1, 0])
+    return float(g_function_vector(model, k, u))
 
 
 def g_function_vector(model, k, u_values):
@@ -472,10 +469,6 @@ class ScalingCoordinates:
         return 1.0 - 4.0 * u * u
 
     @staticmethod
-    def v_of(u, M):
-        return u * M ** (2.0 / 3.0)
-
-    @staticmethod
     def x_of(index, M):
         return M ** (4.0 / 3.0) * (1.0 - index / (M * M))
 
@@ -491,9 +484,11 @@ class LargeDeviationPoint:
 
 def large_deviation_eval(c, u, M):
     """Saddle data and rate function of the M >> sqrt(2N) regime; M must be
-    finite and positive."""
+    finite and positive, and |u| < 1/2."""
     if not (math.isfinite(M) and M > 0.0):
         raise DomainError("M must be finite and > 0")
+    if not abs(u) < 0.5:
+        raise DomainError("|u| < 1/2 required")
     rho = 1.0 - 4.0 * u * u
     crho = c * rho
     if not 0.0 < c <= 1.0 + 1e-12:
@@ -571,13 +566,12 @@ def f1_scaling_function(x, sol):
     return -(2.0 ** (5.0 / 3.0) / np.pi ** 2) * sol.q_at(2.0 ** (2.0 / 3.0) * np.asarray(x, dtype=float))
 
 
-def double_scaling_check(M, k, sol, gammas=None):
+def double_scaling_check(M, k, sol):
     """Compare measured (R_j - M^4/pi^2)/M^{10/3} against -/+ f1(x_j) for the
     even/odd recursion coefficients around index 2k."""
     if M < 10.0:
         raise DomainError("double-scaling comparison requires M >= 10")
-    if gammas is None:
-        gammas = recurrence_table(M, 2 * k + 1)
+    gammas = recurrence_table(M, 2 * k + 1)
     r_even = gammas[2 * k] ** 2
     r_odd = gammas[2 * k + 1] ** 2
     x_even = ScalingCoordinates.x_of(2 * k, M)

@@ -32,11 +32,12 @@ class AiryKernelDiscretization:
         return np.eye(self.n) - self.matrix
 
 
-def airy_kernel(s, n=80, scale=4.0):
-    """Build the discretization at shift s with n mapped Gauss nodes."""
+def airy_kernel(s, n=80):
+    """Build the discretization at shift s with n Gauss nodes mapped to the
+    half line at scale 4."""
     if not 20 <= n <= 400:
         raise DomainError("node count n must lie in [20, 400]")
-    rule = half_line_rule(n, scale)
+    rule = half_line_rule(n, 4.0)
     x, wx = rule.nodes, rule.weights
     rw = np.sqrt(wx)
     # Ai(x_i + x_j + s) is symmetric: evaluate the upper triangle, mirror it

@@ -24,6 +24,7 @@ from .errors import IntegrationFailureError, MisconfigurationError, RangeError
 from .special import QuadratureRule, oscillatory_rule
 
 _SQ3_12 = np.sqrt(3.0) / 12.0
+_PHASE_PER_STEP = 0.3     # phase of the zeta sweep per Magnus sub-step
 
 
 def _pauli_apply(a, b, c, u1, u2):
@@ -86,7 +87,7 @@ def solve_psi_column(zeta, sol, s_step=0.005, keep_every=1):
     return s_out, p1, p2
 
 
-def psi_at_s(s_values, zeta_nodes, sol, phase_per_step=0.3):
+def psi_at_s(s_values, zeta_nodes, sol):
     """Integrate the zeta-ODE outward from zeta = 0 at fixed s (batched).
 
     Seeds with the exact zeta = 0 value (exp(-int_s^inf q), 0) and returns
@@ -114,7 +115,7 @@ def psi_at_s(s_values, zeta_nodes, sol, phase_per_step=0.3):
 
     prev = np.concatenate(([0.0], zeta_nodes[:-1]))
     gap = zeta_nodes - prev
-    nsub = np.maximum(np.ceil(gap * (4.0 * zeta_nodes * zeta_nodes + smax_abs + 2.0) / phase_per_step),
+    nsub = np.maximum(np.ceil(gap * (4.0 * zeta_nodes * zeta_nodes + smax_abs + 2.0) / _PHASE_PER_STEP),
                       np.ceil(gap / 0.02))
     nsub = np.maximum(nsub, 1).astype(np.int64)
     last = np.cumsum(nsub) - 1
@@ -188,7 +189,7 @@ class PsiGrid:
 
     @property
     def rule(self):
-        return QuadratureRule(self.zeta_nodes, self.zeta_weights, (0.0, self.zeta_max))
+        return QuadratureRule(self.zeta_nodes, self.zeta_weights)
 
     def s_index(self, s):
         idx = int(round((s - self.s_grid[0]) / (self.s_grid[1] - self.s_grid[0])))
@@ -224,5 +225,6 @@ def build_psi_grid(rule, sol, s_step=0.05, integration_step=0.005):
                    zeta_max=float(rule.nodes[-1]))
 
 
-def default_zeta_rule(zeta_max=18.0, s_ref=12.0):
-    return oscillatory_rule(zeta_max, freq_offset=s_ref)
+def default_zeta_rule():
+    """The zeta rule of the f oracle: up to zeta = 18, panels sized for s = 12."""
+    return oscillatory_rule(18.0, freq_offset=12.0)

@@ -150,10 +150,13 @@ def _check_walkers(N, steps):
 def sample_ensemble(N, steps, n_samples, seed):
     """Draw n_samples (M, tau_M) pairs of the top path; see module docstring.
 
-    N = 1 uses the cycle shift, N = 2, 3 the matrix realization; any other N
-    raises DomainError at entry.  Non-finite samples raise PrecisionError.
+    N = 1 uses the cycle shift, N = 2, 3 the matrix realization; any other N,
+    and n_samples < 1, raise DomainError at entry.  Non-finite samples raise
+    PrecisionError.
     """
     _check_walkers(N, steps)
+    if n_samples < 1:
+        raise DomainError("n_samples >= 1 required")
     samples = np.empty((n_samples, 2))
     for i in range(n_samples):
         path = _top_path(N, seed, i, steps)
@@ -201,12 +204,14 @@ def extreme_stats(ensemble):
 
 def ks_statistic(samples, cdf):
     """Kolmogorov-Smirnov sup-distance of the empirical CDF from cdf;
-    StatisticsError on non-finite samples."""
+    StatisticsError on no samples or non-finite ones."""
     x = np.sort(np.asarray(samples, dtype=float))
+    n = len(x)
+    if n == 0:
+        raise StatisticsError("no samples")
     bad = np.count_nonzero(~np.isfinite(x))
     if bad:
         raise StatisticsError(f"{bad} non-finite samples")
-    n = len(x)
     F = np.asarray(cdf(x), dtype=float)
     up = np.max(np.arange(1, n + 1) / n - F)
     dn = np.max(F - np.arange(0, n) / n)

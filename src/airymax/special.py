@@ -93,11 +93,10 @@ def airy_both(x):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights pair over a descriptor domain."""
+    """Nodes/weights pair."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -128,18 +127,7 @@ def gauss_legendre_rule(a, b, n):
     """Single-panel Gauss-Legendre rule on [a, b]."""
     t, w = legendre_nodes(n)
     half = 0.5 * (b - a)
-    return QuadratureRule((a + b) / 2.0 + half * t, half * w, (a, b))
-
-
-def composite_gauss_rule(edges, pts=12):
-    """Composite Gauss-Legendre rule over consecutive panels."""
-    edges = np.asarray(edges, dtype=float)
-    t, w = legendre_nodes(pts)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return QuadratureRule(nodes, weights, (edges[0], edges[-1]))
+    return QuadratureRule((a + b) / 2.0 + half * t, half * w)
 
 
 def half_line_rule(n, scale=1.0):
@@ -147,21 +135,27 @@ def half_line_rule(n, scale=1.0):
     t, w = legendre_nodes(n)
     x = scale * (1.0 + t) / (1.0 - t)
     wx = w * 2.0 * scale / (1.0 - t) ** 2
-    return QuadratureRule(x, wx, (0.0, np.inf))
+    return QuadratureRule(x, wx)
 
 
-def oscillatory_rule(zeta_max, freq_offset=12.0, pts=12, phase_per_panel=5.5, max_panel=0.35):
-    """Composite rule resolving the phase 4 zeta^3/3 + s zeta up to zeta_max.
+def oscillatory_rule(zeta_max, freq_offset=12.0):
+    """Composite 12-point Gauss-Legendre rule resolving the phase
+    4 zeta^3/3 + s zeta up to zeta_max.
 
-    Panels shrink like phase_per_panel / (4 zeta^2 + |freq_offset| + 2) so a
-    pts-point Gauss panel spans at most ~one oscillation period.
+    Panels shrink like 5.5 / (4 zeta^2 + |freq_offset| + 2), at most 0.35, so
+    a panel spans at most ~one oscillation period.
     """
     edges = [0.0]
     while edges[-1] < zeta_max:
         z = edges[-1]
-        dz = min(max_panel, phase_per_panel / (4.0 * z * z + abs(freq_offset) + 2.0))
+        dz = min(0.35, 5.5 / (4.0 * z * z + abs(freq_offset) + 2.0))
         edges.append(min(z + dz, zeta_max))
-    return composite_gauss_rule(np.array(edges), pts)
+    edges = np.array(edges)
+    t, w = legendre_nodes(12)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return QuadratureRule((mid[:, None] + half[:, None] * t[None, :]).ravel(),
+                          (half[:, None] * w[None, :]).ravel())
 
 
 def neville_at_zero(eps, vals):

@@ -98,10 +98,12 @@ _D2 = np.array([0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0]) / 12.0
 _D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 
 
-def third_order_residual(sol, w, s_points, rule, h=0.3):
+def third_order_residual(sol, w, s_points):
     """Scaled residual of the third-order ODE for f(., w) from the
-    regularized-quadrature oracle on the zeta rule, derivatives by
-    4th-order stencils."""
+    regularized-quadrature oracle on the default zeta rule, derivatives by
+    4th-order stencils of step 0.3."""
+    h = 0.3
+    rule = default_zeta_rule()
     offsets = np.arange(-3, 4) * h
     s_all = np.unique(np.round(np.add.outer(np.asarray(s_points), offsets).ravel(), 10))
     vals, _ = airy2._quad_f_batch(s_all, [w], sol, rule.nodes, rule.weights)
@@ -121,11 +123,13 @@ def third_order_residual(sol, w, s_points, rule, h=0.3):
     return worst
 
 
-def heat_pde_residual(sol, w_inner=np.round(np.arange(-1.0, 1.0001, 0.1), 10), hw=0.1,
-                      s_lo=-4.0, s_hi=4.0, s_step=0.25):
-    """Scaled residual of d_w f = (d_ss - u) f using transported profiles:
-    s-derivatives come from the transport state, the w-derivative from a
-    centered 5-point stencil across independently transported columns."""
+def heat_pde_residual(sol):
+    """Scaled residual of d_w f = (d_ss - u) f using transported profiles, at
+    w = -1, -0.9, ..., 1 and s = -4, -3.75, ..., 4: s-derivatives come from
+    the transport state, the w-derivative from a centered 5-point stencil of
+    step 0.1 across independently transported columns."""
+    w_inner, hw = np.round(np.arange(-1.0, 1.0001, 0.1), 10), 0.1
+    s_lo, s_hi, s_step = -4.0, 4.0, 0.25
     w_all = np.round(np.arange(w_inner[0] - 2 * hw, w_inner[-1] + 2 * hw + hw / 2, hw), 10)
     prof = airy2.transport_profile(w_all, sol, s_lo=s_lo - 0.5)
     idx_s = np.searchsorted(prof.s_grid, np.arange(s_lo, s_hi + s_step / 2, s_step) - 1e-9)
@@ -146,10 +150,9 @@ def heat_pde_residual(sol, w_inner=np.round(np.arange(-1.0, 1.0001, 0.1), 10), h
 @_timed
 def criterion_4_f_structure(ctx):
     sol = ctx["sol"]
-    rule = default_zeta_rule()
-    r0 = third_order_residual(sol, 0.0, np.arange(-4.0, 4.01, 1.0), rule)
-    rp = third_order_residual(sol, 0.5, np.arange(0.5, 3.01, 0.5), rule)
-    rm = third_order_residual(sol, -0.5, np.arange(0.5, 3.01, 0.5), rule)
+    r0 = third_order_residual(sol, 0.0, np.arange(-4.0, 4.01, 1.0))
+    rp = third_order_residual(sol, 0.5, np.arange(0.5, 3.01, 0.5))
+    rm = third_order_residual(sol, -0.5, np.arange(0.5, 3.01, 0.5))
     rpde = heat_pde_residual(sol)
     ok = max(r0, rp, rm) <= 1e-3 and rpde <= 1e-3
     return CriterionResult(4, "f(s,w) structure", ok,
@@ -160,7 +163,8 @@ def criterion_4_f_structure(ctx):
 @_timed
 def criterion_5_joint_density(ctx):
     sol, grid = ctx["sol"], ctx["grid"]
-    ident = abs(airy2.joint_pdf(0.0, 0.5, sol=sol) - airy2.joint_pdf_h_form(0.0, 0.5, sol=sol))
+    # (4/pi^2) F1 int h h with h = H_FROM_F f is P(s, w) when this ratio is 1
+    ident = abs(4.0 / np.pi ** 2 * airy2.H_FROM_F ** 2 / airy2.JOINT_PREFACTOR - 1.0)
     sym = float(np.max(np.abs(grid.values - grid.values[:, ::-1])))
     norm = grid.normalization_estimate
     worst_rel = 0.0
@@ -318,23 +322,21 @@ ALL_CRITERIA = [
 ]
 
 
-def build_context(mc_samples=100000, grid_w_step=0.1):
+def build_context(mc_samples=100000):
     """Shared heavyweight objects for the criteria."""
     from .painleve import solve_hastings_mcleod
     sol = solve_hastings_mcleod()
-    grid = airy2.build_joint_density_grid(sol, w_step=grid_w_step)
+    grid = airy2.build_joint_density_grid(sol)
     return {"sol": sol, "grid": grid, "mc_samples": mc_samples}
 
 
-def run_all(ctx=None, echo=print, subset=None):
-    if ctx is None:
-        ctx = build_context()
+def run_all(ctx, subset=None):
+    """Run the criteria of subset (all if None) on ctx, printing each line."""
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if subset is not None and i not in subset:
             continue
         res = fn(ctx)
         results.append(res)
-        if echo:
-            echo(res.line())
+        print(res.line())
     return results

@@ -113,9 +113,8 @@ def test_joint_pdf_checks_s_at_entry(sol, monkeypatch, s):
     def no_transport(*a, **k):
         raise AssertionError("transport_profile called")
     monkeypatch.setattr(airy2, "transport_profile", no_transport)
-    for fn in (airy2.joint_pdf, airy2.joint_pdf_h_form):
-        with pytest.raises(AirymaxError):
-            fn(s, 0.5, sol=sol)
+    with pytest.raises(AirymaxError):
+        airy2.joint_pdf(s, 0.5, sol=sol)
 
 
 @pytest.mark.parametrize("s", [11.0, 12.5, -11.9, np.nan])
@@ -138,6 +137,15 @@ def test_s_above_transport_seed_raises():
         with pytest.raises(RangeError):
             fn(13.0, 0.5, sol=wide)
     assert airy2.f_function(11.5, 0.5, sol=wide) > 0.0
+
+
+def test_density_grid_above_transport_seed_raises():
+    # s_max - 2 = 14 admits s_hi = 13, but the transport starts at S_SEED = 12;
+    # numpy's IndexError came out before
+    from airymax.painleve import solve_hastings_mcleod
+    wide = solve_hastings_mcleod(s_max=16.0)
+    with pytest.raises(RangeError):
+        airy2.build_joint_density_grid(wide, s_lo=-2.0, s_hi=13.0)
 
 
 def test_joint_pdf_on_a_two_node_transport():
@@ -168,10 +176,10 @@ def test_w_cap(sol):
         airy2.transport_profile([7.0], sol)
 
 
-def test_formulation_identity(sol):
-    a = airy2.joint_pdf(0.0, 0.5, sol=sol)
-    b = airy2.joint_pdf_h_form(0.0, 0.5, sol=sol)
-    assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+def test_formulation_identity():
+    # (4/pi^2) F1 int h(x, w) h(x, -w) dx with h = H_FROM_F f is P(s, w)
+    ratio = 4.0 / np.pi ** 2 * airy2.H_FROM_F ** 2 / airy2.JOINT_PREFACTOR
+    assert abs(ratio - 1.0) <= 1e-12
 
 
 def test_grid_symmetry_and_positivity(joint_grid):

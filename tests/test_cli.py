@@ -27,6 +27,7 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["tw-f1", "--s-min", "5", "--s-max", "2", "-o", out]) == 1
     assert not (tmp_path / "x.csv").exists()
     assert main(["mc", "--steps", "100", "--samples", "10"]) == 1
+    assert main(["mc", "--samples", "0"]) == 1
     assert main(["no-such-command"]) == 1
 
 

@@ -59,6 +59,14 @@ def test_recurrence_table_refuses_unstable_degrees():
         fn.recurrence_table(1.0, 40)
 
 
+@pytest.mark.parametrize("M, deg_max", [(np.nan, 10), (np.inf, 10), (-5.0, 10), (0.0, 10),
+                                        (5.0, 0)])
+def test_recurrence_table_entry_checks(M, deg_max):
+    # nan raised Python's ValueError, and M = -5 returned the M = 5 table
+    with pytest.raises(DomainError):
+        fn.recurrence_table(M, deg_max)
+
+
 def test_gamma_h_consistency():
     model = fn.build_op_table(5.0, 6)
     for k in range(1, 12):
@@ -282,6 +290,13 @@ def test_large_deviation_values():
     assert fn.large_deviation_eval(0.5, 0.1, 10.0).phi_pp < 0.0
     with pytest.raises(DomainError):
         fn.large_deviation_eval(1.2, 0.0, 10.0)
+
+
+@pytest.mark.parametrize("u", [0.5, -0.5, 0.6, np.nan])
+def test_large_deviation_needs_u_inside_half(u):
+    # |u| >= 1/2 made rho <= 0, and math.sqrt raised a bare ValueError
+    with pytest.raises(DomainError):
+        fn.large_deviation_eval(0.5, u, 10.0)
 
 
 def test_jpdf_approaches_large_deviation_rate():

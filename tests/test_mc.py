@@ -168,6 +168,11 @@ def test_ks_statistic_refuses_non_finite_samples(column):
         mc.ks_statistic(samples[:, column], lambda x: np.clip(x, 0.0, 1.0))
 
 
+def test_ks_statistic_refuses_no_samples():
+    with pytest.raises(StatisticsError, match="no samples"):
+        mc.ks_statistic(np.array([]), lambda x: np.clip(x, 0.0, 1.0))
+
+
 def test_parameter_guards(monkeypatch):
     def no_draws(*args):
         raise AssertionError("sample_ensemble drew paths")
@@ -178,6 +183,9 @@ def test_parameter_guards(monkeypatch):
             mc.sample_ensemble(N, 2000, 10, seed=1)
     with pytest.raises(DomainError):
         mc.sample_ensemble(1, 500, 10, seed=1)
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            mc.sample_ensemble(1, 2000, n, seed=1)
 
 
 def test_dump_roundtrip(tmp_path):

@@ -141,9 +141,9 @@ def test_quadrature_rule_invariants():
     rule = special.gauss_legendre_rule(-1.5, 2.5, 40)
     assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(4.0, rel=1e-13)
     with pytest.raises(MisconfigurationError):
-        special.QuadratureRule(np.array([0.0, 0.0, 1.0]), np.ones(3), (0, 1))
+        special.QuadratureRule(np.array([0.0, 0.0, 1.0]), np.ones(3))
     with pytest.raises(MisconfigurationError):
-        special.QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]), (0, 1))
+        special.QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
 
 @settings(max_examples=30, deadline=None)
