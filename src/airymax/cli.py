@@ -176,6 +176,8 @@ def cmd_mc(args):
 
 def cmd_validate(args):
     from . import validation
+    if args.mc_samples < 1:
+        raise DomainError("--mc-samples must be at least 1")
     subset = set(args.only) if args.only else None
     ctx = validation.build_context(mc_samples=args.mc_samples)
     results = validation.run_all(ctx, subset=subset)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, PrecisionError
 from .painleve import tracy_widom_f1
@@ -390,7 +389,7 @@ def log_cdf_max(M, N, model=None):
         model = build_op_table(M, N)
     if model.M != M or model.N != N:
         raise DomainError(f"model built for (M, N) = ({model.M}, {model.N}), not ({M}, {N})")
-    total = gammaln(N + 1) - sum(gammaln(2.0 + j) + gammaln(1.5 + j) for j in range(N))
+    total = math.lgamma(N + 1) - sum(math.lgamma(2.0 + j) + math.lgamma(1.5 + j) for j in range(N))
     total += (2 * N * N + N) * math.log(math.pi) - (N * N + N / 2.0) * math.log(2.0)
     total -= (2 * N * N + N) * math.log(M)
     total += float(sum(model.log_h[2 * i - 1] for i in range(1, N + 1)))

@@ -184,8 +184,6 @@ class PsiGrid:
     phi1: np.ndarray
     phi2: np.ndarray
     painleve: object = field(repr=False, compare=False)
-    zeta_max: float = 18.0
-    tolerance: float = 1e-10
 
     @property
     def rule(self):
@@ -221,8 +219,7 @@ def build_psi_grid(rule, sol, s_step=0.05, integration_step=0.005):
         bad = np.argwhere(~np.isfinite(p2))
         raise IntegrationFailureError(rule.nodes[bad[0][0]])
     return PsiGrid(zeta_nodes=rule.nodes, zeta_weights=rule.weights, s_grid=s_out,
-                   phi1=p1, phi2=p2, painleve=sol,
-                   zeta_max=float(rule.nodes[-1]))
+                   phi1=p1, phi2=p2, painleve=sol)
 
 
 def default_zeta_rule():

@@ -9,7 +9,6 @@ solution is a separatrix), hence the global two-point formulation.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, RangeError, SolverFailureError
 from .special import airy_ai
@@ -72,29 +71,111 @@ class _Spline:
         return _Spline(self.x, c)
 
 
-def _cubic_spline(x, y):
-    """Not-a-knot cubic spline of y at the strictly increasing x (at least
-    four points): the slopes solve scipy CubicSpline's tridiagonal system,
-    with its operations, so the coefficients are the same."""
+class _Tridiagonal:
+    """The LU factors of a tridiagonal matrix with sub-diagonal lower,
+    diagonal diag and super-diagonal upper (1-d arrays of lengths n - 1, n
+    and n - 1), for repeated solves.
+
+    A port of LAPACK gtsv: Gaussian elimination that interchanges rows i
+    and i + 1 where |pivot_i| < |lower_i|, then back substitution, with
+    gtsv's operations in gtsv's order, so a solve equals
+    scipy.linalg.solve_banded((1, 1), ...) bit for bit.  A zero pivot, where
+    gtsv reports a singular matrix, raises SolverFailureError.  Without
+    interchanges (every diagonally dominant matrix) elimination and
+    substitution each run as one list comprehension, which skips gtsv's
+    product with the zero fill-in (it could only flip the sign of a zero);
+    the loops of the general case take about twice as long.
+    """
+
+    def __init__(self, lower, diag, upper):
+        self.upper = upper.tolist()
+        self.interchanged = None
+        p = float(diag[0])
+        try:
+            self.pivots = [p] + [p := d - l / p * u
+                                 for l, d, u in zip(lower.tolist(), diag[1:].tolist(), self.upper)]
+            pivots = np.array(self.pivots, dtype=float)
+            plain = bool(np.all(np.abs(pivots[:-1]) >= np.abs(lower)) and np.all(pivots != 0.0))
+        except ZeroDivisionError:
+            plain = False
+        if plain:
+            self.factors = (lower / pivots[:-1]).tolist()
+        else:
+            self._eliminate_with_interchanges(lower.tolist(), diag.tolist())
+
+    def _eliminate_with_interchanges(self, lower, d):
+        n = len(d)
+        du = self.upper
+        self.factors, self.interchanged = [0.0] * (n - 1), [False] * (n - 1)
+        self.fill = [0.0] * n           # second super-diagonal, from interchanges
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(lower[i]):
+                if d[i] == 0.0:
+                    raise SolverFailureError(np.inf, "singular tridiagonal matrix")
+                f = lower[i] / d[i]
+                d[i + 1] = d[i + 1] - f * du[i]
+            else:
+                f = d[i] / lower[i]
+                d[i], temp = lower[i], d[i + 1]
+                d[i + 1] = du[i] - f * temp
+                if i < n - 2:
+                    self.fill[i] = du[i + 1]
+                    du[i + 1] = -f * self.fill[i]
+                du[i] = temp
+                self.interchanged[i] = True
+            self.factors[i] = f
+        if d[-1] == 0.0:
+            raise SolverFailureError(np.inf, "singular tridiagonal matrix")
+        self.pivots = d
+
+    def solve(self, b):
+        """The solution for the right-hand side b (1-d array of length n)."""
+        b = b.tolist()
+        if self.interchanged is None:
+            acc = b[0]
+            y = [acc] + [acc := bn - f * acc for f, bn in zip(self.factors, b[1:])]
+            x = acc / self.pivots[-1]
+            out = [x] + [x := (yi - u * x) / p
+                         for yi, u, p in zip(y[-2::-1], self.upper[::-1], self.pivots[-2::-1])]
+            return np.array(out, dtype=float)[::-1]
+        for i, f in enumerate(self.factors):
+            if self.interchanged[i]:
+                b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
+            else:
+                b[i + 1] = b[i + 1] - f * b[i]
+        d, du, fill = self.pivots, self.upper, self.fill
+        b[-1] = b[-1] / d[-1]
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(len(b) - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - fill[i] * b[i + 2]) / d[i]
+        return np.array(b, dtype=float)
+
+
+def _cubic_splines(x, ys):
+    """Not-a-knot cubic splines of each y in ys at the strictly increasing x
+    (at least four points): the slopes solve scipy CubicSpline's tridiagonal
+    system, with its operations, so the coefficients are the same.  The
+    matrix depends on x alone and is factored once."""
     dx = np.diff(x)
-    slope = np.diff(y) / dx
-    ab = np.zeros((3, len(x)))
-    b = np.empty(len(x))
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    diag = np.empty(len(x))
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
     # not-a-knot: the third derivative is continuous at x_1 and x_{n-1}
-    ab[1, 0] = dx[1]
-    ab[0, 1] = d = x[2] - x[0]
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    ab[1, -1] = dx[-2]
-    ab[-1, -2] = d = x[-1] - x[-3]
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    m = solve_banded((1, 1), ab, b.reshape(-1, 1), overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)[:, 0]
-    t = (m[:-1] + m[1:] - 2 * slope) / dx
-    return _Spline(x, np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])))
+    diag[0], diag[-1] = dx[1], dx[-2]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.append(dx[1:], d1)
+    upper = np.insert(dx[:-1], 0, d0)
+    system = _Tridiagonal(lower, diag, upper)
+    splines = []
+    for y in ys:
+        slope = np.diff(y) / dx
+        b = np.empty(len(x))
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        m = system.solve(b)
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        splines.append(_Spline(x, np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))))
+    return splines
 
 
 @dataclass(frozen=True)
@@ -207,22 +288,15 @@ def solve_hastings_mcleod(s_min=-12.0, s_max=12.0, step=0.005):
     def rhs(qv, sv):
         return 2.0 * qv ** 3 + sv * qv
 
-    def rhs_q(qv, sv):
-        return 6.0 * qv ** 2 + sv
-
     residual = np.inf
     for _ in range(60):
+        r = rhs(q, s)
         F = (q[:-2] - 2.0 * q[1:-1] + q[2:]
-             - (h * h / 12.0) * (rhs(q[:-2], s[:-2]) + 10.0 * rhs(q[1:-1], s[1:-1])
-                                 + rhs(q[2:], s[2:])))
-        lower = 1.0 - (h * h / 12.0) * rhs_q(q[:-2], s[:-2])
-        diag = -2.0 - (10.0 * h * h / 12.0) * rhs_q(q[1:-1], s[1:-1])
-        upper = 1.0 - (h * h / 12.0) * rhs_q(q[2:], s[2:])
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        delta = solve_banded((1, 1), ab, -F)
+             - (h * h / 12.0) * (r[:-2] + 10.0 * r[1:-1] + r[2:]))
+        r_q = 6.0 * q ** 2 + s
+        off = 1.0 - (h * h / 12.0) * r_q       # sub- and super-diagonal entries
+        diag = -2.0 - (10.0 * h * h / 12.0) * r_q[1:-1]
+        delta = _Tridiagonal(off[1:-2], diag, off[2:-1]).solve(-F)
         q[1:-1] += delta
         residual = float(np.max(np.abs(F)))
         if residual < 1e-14 and np.max(np.abs(delta)) < 1e-12:
@@ -246,14 +320,13 @@ def solve_hastings_mcleod(s_min=-12.0, s_max=12.0, step=0.005):
     qpp = (-q[:-4] + 16.0 * q[1:-3] - 30.0 * q[2:-2] + 16.0 * q[3:-1] - q[4:]) / (12.0 * h * h)
     ach = float(np.max(np.abs(qpp - rhs(q[2:-2], s[2:-2]))))
 
-    q_spline = _cubic_spline(s, q)
-    qp_spline = _cubic_spline(s, qp)
+    q_spline, qp_spline, q2_spline, tq2_spline = _cubic_splines(s, (q, qp, q * q, s * q * q))
     sol = PainleveSolution(
         s_grid=s, q=q, q_prime=qp, achieved_residual=ach,
         _q_spline=q_spline, _qp_spline=qp_spline,
         _aq=q_spline.antiderivative(),
-        _aq2=_cubic_spline(s, q * q).antiderivative(),
-        _atq2=_cubic_spline(s, s * q * q).antiderivative(),
+        _aq2=q2_spline.antiderivative(),
+        _atq2=tq2_spline.antiderivative(),
         _tail_q=float(_ai_integral_tail(s_max)),
     )
     return sol

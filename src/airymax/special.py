@@ -1,17 +1,26 @@
 """Scalar special functions and reusable quadrature primitives.
 
-Airy Ai and Ai' have two ranges.  For x < 10 they come from
-`scipy.special.airy`: against mpmath at 40 digits (scipy 1.17) its absolute
-error is at most 7.7e-15 for Ai and 1.3e-14 for Ai' at 3001 equispaced
-points of |x| <= 15.  For x >= 10 they come from the asymptotic series of
-DLMF 9.7.5 and 9.7.6, 24 terms in 1/zeta with zeta = (2/3) x^{3/2}: at 200
-points of 10 <= x <= 100 its relative error is at most 1.5e-13 for both, and
-8.7e-15 on 10 <= x <= 16 (scipy: 1.4e-13 and 7.4e-15; both are limited by
-the rounding of e^{-zeta}).  Ai is continuous across x = 10 to 4e-15
-relative.  No value is subnormal: a result below the smallest normal double
-(2.2e-308, past x ~ 104) is returned as exactly 0, and the series is
-evaluated at min(x, 110) so that no intermediate overflows.  Non-finite x and
-x < -2**20 (where scipy returns NaN) raise DomainError.
+Airy Ai and Ai' have three ranges; against mpmath at 40 digits:
+- -11.25 <= x < 10: a Taylor series of 16 terms about the nearest node of a
+  frozen table of Ai and Ai' at x = -11.25 + k/8 (scripts/airy_nodes.py
+  writes it from mpmath at 40 digits).  At 3000 points the absolute error is
+  at most 2.2e-16 (Ai) and 4.4e-16 (Ai'), and on [0, 10) the relative error
+  is at most 6.7e-16 for both (scipy.special.airy: 7.7e-15 and 1.3e-14
+  absolute at 3001 points of |x| <= 15).
+- x >= 10: the asymptotic series of DLMF 9.7.5 and 9.7.6, 24 terms in
+  1/zeta with zeta = (2/3) x^{3/2}: at 200 points of 10 <= x <= 100 its
+  relative error is at most 1.5e-13 for both, and 8.7e-15 on 10 <= x <= 16
+  (scipy: 1.4e-13 and 7.4e-15; both are limited by the rounding of
+  e^{-zeta}).
+- x < -11.25: the same series in the oscillatory form of DLMF 9.7.9 and
+  9.7.10, where the rounding of the phase zeta bounds the error: at most
+  1.8e-15 (Ai) and 6.7e-15 (Ai') absolute on [-15, -11.25], 4.8e-15 and
+  2.6e-14 on [-30, -11.25].  The table starts where neither Ai nor Ai' is
+  near a zero, so the switch is continuous to 4e-15 relative.
+Ai is continuous across x = 10 to 4e-15 relative.  No value is subnormal: a
+result below the smallest normal double (2.2e-308, past x ~ 104) is returned
+as exactly 0, and the series is evaluated at min(x, 110) so that no
+intermediate overflows.  Non-finite x and x < -2**20 raise DomainError.
 
 simpson and cumulative_simpson are numpy ports of the scipy.integrate
 functions of the same names for strictly increasing sample points; they
@@ -23,13 +32,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import airy as _scipy_airy
 
+from . import _airy_nodes as _NODES
 from .errors import DomainError, MisconfigurationError
 
 _X_ASYMPTOTIC = 10.0
 _ASYMPTOTIC_TERMS = 24
 _TINY = np.finfo(float).tiny
+_SQRT_HALF = np.sqrt(0.5)
+_TAYLOR_TERMS = 16
+_NODE_AI, _NODE_AIP = np.array(_NODES.AI), np.array(_NODES.AI_PRIME)
 
 
 def _asymptotic_coefficients(n):
@@ -63,16 +75,68 @@ def _airy_asymptotic(x):
     return np.where(ai < _TINY, 0.0, ai), np.where(-aip < _TINY, 0.0, aip)
 
 
+def _airy_oscillatory(x):
+    """Ai and Ai' for x < -11.25 by DLMF 9.7.9-9.7.10: the series of
+    _airy_asymptotic split into even and odd powers, Horner in -1/zeta^2,
+    with zeta = (2/3) |x|^{3/2}."""
+    z = -x
+    zeta = 2.0 * z * np.sqrt(z) / 3.0        # one rounding fewer than (2/3) z^{3/2}
+    r = 1.0 / zeta
+    t = -r * r
+    sums = []
+    for coeffs in (_U[0::2], _U[1::2], _V[0::2], _V[1::2]):
+        acc = coeffs[-1]
+        for a in coeffs[-2::-1]:
+            acc = acc * t + a
+        sums.append(acc)
+    u_even, u_odd, v_even, v_odd = sums
+    # cos and sin of zeta - pi/4, without rounding the shifted phase
+    c, s = np.cos(zeta), np.sin(zeta)
+    cos_phase, sin_phase = (c + s) * _SQRT_HALF, (s - c) * _SQRT_HALF
+    x4 = np.sqrt(np.sqrt(z)) * np.sqrt(np.pi)
+    return ((cos_phase * u_even - sin_phase * r * u_odd) / x4,
+            x4 / np.pi * (sin_phase * v_even + cos_phase * r * v_odd))
+
+
+def _airy_taylor(x):
+    """Ai and Ai' for -11.25 <= x < 10 from the nearest node c of the frozen
+    table: the Taylor series in h = x - c (|h| <= 1/16), whose coefficients
+    follow from Ai'' = x Ai as a_{n+2} = (c a_n + a_{n-1}) / ((n+2)(n+1)).
+    Arrays are updated in place; a 0-d x runs on NumPy scalars."""
+    i = np.rint((x - _NODES.X_MIN) * _NODES.NODES_PER_UNIT).astype(np.intp)
+    c = _NODES.X_MIN + i / _NODES.NODES_PER_UNIT
+    prev, a, nxt = 0.0 * c, _NODE_AI[i], _NODE_AIP[i]     # a_{n-1}, a_n, a_{n+1} at n = 0
+    h = x - c
+    ai, aip, hk = a + nxt * h, nxt.copy(), h.copy()
+    for n in range(_TAYLOR_TERMS - 2):
+        prev += c * a
+        prev /= (n + 2) * (n + 1)
+        prev, a, nxt = a, nxt, prev
+        aip += (n + 2) * nxt * hk
+        hk *= h
+        ai += nxt * hk
+    return ai, aip
+
+
+_AIRY_RANGES = ((-np.inf, _NODES.X_MIN, _airy_oscillatory),
+                (_NODES.X_MIN, _X_ASYMPTOTIC, _airy_taylor),
+                (_X_ASYMPTOTIC, np.inf, _airy_asymptotic))
+
+
 def _airy_pair(x):
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.all((x >= -2.0 ** 20) & (x < np.inf)):     # NaN fails both
         raise DomainError("Ai and Ai' need finite x >= -2**20")
-    far = x >= _X_ASYMPTOTIC
-    ai, aip = np.empty_like(x), np.empty_like(x)
-    ai[~far], aip[~far], _, _ = _scipy_airy(x[~far])
-    ai[far], aip[far] = _airy_asymptotic(x[far])
-    if not (np.all(np.isfinite(ai)) and np.all(np.isfinite(aip))):
-        raise DomainError("Ai and Ai' need finite x >= -2**20")
+    ai = aip = None
+    for lo, hi, evaluate in _AIRY_RANGES:
+        inside = (x >= lo) & (x < hi)
+        if inside.all():
+            ai, aip = evaluate(x)
+            break
+        if inside.any():
+            if ai is None:
+                ai, aip = np.empty_like(x), np.empty_like(x)
+            ai[inside], aip[inside] = evaluate(x[inside])
     return ai[()], aip[()]
 
 

@@ -297,7 +297,7 @@ RECURRENCE_10_200 = {
 }
 
 
-def psi_at_s_sequential(s_values, zeta_nodes, sol, phase_per_step=0.3):
+def psi_at_s_sequential(s_values, zeta_nodes, sol):
     """Integrate the zeta-ODE outward from zeta = 0 at fixed s (batched).
 
     The sequential node-by-node, sub-step-by-sub-step sweep that
@@ -322,7 +322,8 @@ def psi_at_s_sequential(s_values, zeta_nodes, sol, phase_per_step=0.3):
     cur = 0.0
     for i, zt in enumerate(zeta_nodes):
         gap = zt - cur
-        nsub = max(1, int(np.ceil(gap * (4.0 * zt * zt + smax_abs + 2.0) / phase_per_step)),
+        # sub-steps of at most 0.3 in phase and 0.02 in zeta
+        nsub = max(1, int(np.ceil(gap * (4.0 * zt * zt + smax_abs + 2.0) / 0.3)),
                    int(np.ceil(gap / 0.02)))
         hh = gap / nsub
         for k in range(nsub):

@@ -101,6 +101,17 @@ def test_validate_subset(tmp_path):
     assert doc["data"][0]["passed"] is True
 
 
+def test_validate_refuses_mc_samples_below_one_at_entry(monkeypatch):
+    from airymax import validation
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("validate ran past its argument check")
+
+    monkeypatch.setattr(validation, "build_context", unreachable)
+    monkeypatch.setattr(cli, "solve_hastings_mcleod", unreachable)
+    assert main(["validate", "--only", "12", "--mc-samples", "0"]) == 1
+
+
 @pytest.mark.parametrize("exc", [
     ValueError("autodetected range of [nan, nan] is not finite"),
     SolverFailureError(1.0),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from airymax import painleve
-from airymax.errors import DomainError, RangeError
+from airymax.errors import DomainError, RangeError, SolverFailureError
 from airymax.special import airy_ai
 
 from _oracles import HASTINGS_MCLEOD_AT_ZERO, zeta_prime_minus_one_reference
@@ -107,6 +108,26 @@ def test_spline_equals_scipy_on_uneven_knots(n):
     x = np.sort(np.random.default_rng(n).uniform(-1.0, 2.0, n))
     y = np.sin(3.0 * x) + x ** 3
     pts = np.linspace(-1.5, 2.5, 2001)
-    ours = painleve._cubic_spline(x, y)
+    ours, = painleve._cubic_splines(x, [y])
     assert np.array_equal(ours(pts), CubicSpline(x, y)(pts))
     assert np.array_equal(ours.antiderivative()(pts), CubicSpline(x, y).antiderivative()(pts))
+
+
+@pytest.mark.parametrize("dominant", [True, False])
+def test_tridiagonal_equals_solve_banded(dominant):
+    # a dominant diagonal needs no row interchanges; a random one needs many
+    rng = np.random.default_rng(11)
+    n = 300
+    lower, upper = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    diag = rng.uniform(-1.0, 1.0, n) + (3.0 if dominant else 0.0)
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    system = painleve._Tridiagonal(lower, diag, upper)
+    assert (system.interchanged is None) == dominant
+    for b in rng.normal(size=(3, n)):
+        assert np.array_equal(system.solve(b), solve_banded((1, 1), ab, b))
+
+
+def test_tridiagonal_singular_raises():
+    with pytest.raises(SolverFailureError):
+        painleve._Tridiagonal(np.array([0.0, 1.0]), np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0]))

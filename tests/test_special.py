@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy import integrate
-from scipy.special import airy as scipy_airy
 
-from airymax import special
+from airymax import _airy_nodes, special
 from airymax.errors import DomainError, MisconfigurationError
 
 from _oracles import airy_maclaurin_reference, airy_reference
@@ -40,10 +39,12 @@ def test_airy_relative_accuracy_far_right(x):
 
 
 def test_airy_switch_point_overlap():
-    # accuracy probes near |x| = 9; the evaluation has no internal switch there
-    for x in [8.97, 9.03, -8.97, -9.03]:
-        ai_ref, _ = airy_reference(x)
+    # accuracy probes on both sides of the switch from the oscillatory series
+    # to the node table at x = -11.25, and between two nodes near |x| = 9
+    for x in [-11.22, -11.28, 8.97, 9.03, -8.97, -9.03]:
+        ai_ref, aip_ref = airy_reference(x)
         assert abs(special.airy_ai(x) - ai_ref) < 1e-13
+        assert abs(special.airy_ai_prime(x) - aip_ref) < 1e-13
 
 
 def test_airy_ode_residual():
@@ -96,13 +97,44 @@ def test_airy_asymptotic_series_against_mpmath():
     assert err_ai <= 3e-13 and err_aip <= 3e-13
 
 
-def test_airy_below_ten_is_scipy_bitwise():
-    x = np.concatenate([np.linspace(-30.0, 10.0, 4001)[:-1], [np.nextafter(10.0, 0.0)]])
+@pytest.fixture(scope="module")
+def mpmath_airy_grid():
+    """Ai and Ai' by mpmath at 40 digits at 3001 points of [-15, 15]."""
+    x = np.linspace(-15.0, 15.0, 3001)
+    with mp.workdps(40):
+        ref = [(float(mp.airyai(mp.mpf(v))), float(mp.airyai(mp.mpf(v), 1))) for v in x]
+    return x, np.array(ref)
+
+
+def test_airy_node_table_is_mpmath_rounded_once():
+    assert len(_airy_nodes.AI) == len(_airy_nodes.AI_PRIME) == 171
+    with mp.workdps(40):
+        for k, (ai, aip) in enumerate(zip(_airy_nodes.AI, _airy_nodes.AI_PRIME)):
+            c = mp.mpf(_airy_nodes.X_MIN) + mp.mpf(k) / _airy_nodes.NODES_PER_UNIT
+            assert ai == float(mp.airyai(c)) and aip == float(mp.airyai(c, 1))
+
+
+def test_airy_absolute_accuracy_against_mpmath(mpmath_airy_grid):
+    x, ref = mpmath_airy_grid
     ai, aip = special.airy_both(x)
-    ref_ai, ref_aip, _, _ = scipy_airy(x)
-    assert np.array_equal(ai, ref_ai) and np.array_equal(aip, ref_aip)
-    mixed = np.array([3.0, 12.0, -4.0, 50.0])
-    assert np.array_equal(special.airy_both(mixed)[0][[0, 2]], scipy_airy(mixed[[0, 2]])[0])
+    assert np.max(np.abs(ai - ref[:, 0])) <= 1.5e-14
+    assert np.max(np.abs(aip - ref[:, 1])) <= 1.5e-14
+
+
+def test_airy_relative_accuracy_from_zero_to_ten(mpmath_airy_grid):
+    x, ref = mpmath_airy_grid
+    keep = (x >= 0.0) & (x < 10.0)
+    ai, aip = special.airy_both(x[keep])
+    assert np.max(np.abs(ai / ref[keep, 0] - 1.0)) <= 1e-14
+    assert np.max(np.abs(aip / ref[keep, 1] - 1.0)) <= 1e-14
+
+
+def test_airy_continuous_across_table_start():
+    start = _airy_nodes.X_MIN
+    at = special.airy_both(start)
+    below = special.airy_both(np.nextafter(start, -np.inf))
+    assert abs(below[0] / at[0] - 1.0) <= 1e-14
+    assert abs(below[1] / at[1] - 1.0) <= 1e-14
 
 
 def test_airy_continuous_across_ten():
