@@ -19,16 +19,20 @@ of the acceptance suite run on it.
 P(s, w) has one assembly, _density_columns, behind joint_pdf, the density
 grid and the off-grid marginals.  It transports the +-w columns once, down
 to the lowest s wanted, and accumulates int_s^inf f(x, w) f(x, -w) dx
-downward from the seed point by cumulative Simpson, plus the analytic tail
-above it.  Accumulating from the small end keeps the relative accuracy of
-the small densities at large s and |w|, which a total-minus-prefix sum
-loses to cancellation.
+downward from the seed point by cumulative Simpson, plus the tail above it.
+The tail is in closed form: the exponentials of f_closed(x, w) and
+f_closed(x, -w) cancel, which leaves the Airy primitive of
+joint_pdf_large_s.  Accumulating from the small end keeps the relative
+accuracy of the small densities at large s and |w|, which a
+total-minus-prefix sum loses to cancellation.
 
 The transport is classical RK4.  The ODE is linear, so each step is a 3x3
-matrix per column that is known before the sweep: the step matrices are
-built as arrays, and the states are their prefix products (a doubling scan
-within fixed chunks of steps) applied to the seed.  The tests keep the
-step-by-step loop as an oracle.
+matrix per column that is known before the sweep, and A(s, w) is linear in
+w, so the step matrix is a polynomial of degree at most 4 in w: its
+coefficients are built once per step and evaluated per column by Horner's
+rule.  The states come from a work-efficient two-pass scan (Blelloch,
+"Prefix sums and their applications", 1990) over fixed chunks of steps.
+The tests keep the step-by-step loop as an oracle.
 """
 
 from dataclasses import dataclass, field
@@ -49,6 +53,7 @@ TWO_113 = 2.0 ** (11.0 / 3.0)
 TWO_133 = 2.0 ** (13.0 / 3.0)
 JOINT_PREFACTOR = np.pi ** 2 / 2.0 ** (20.0 / 3.0)
 H_FROM_F = -np.pi ** 2 / TWO_133
+TAIL_FROM_LARGE_S = (TWO_113 / np.pi) ** 2 / TWO_23
 
 W_CAP = 6.0
 S_SEED = 12.0             # ODE transport seeding point
@@ -166,61 +171,136 @@ class FProfile:
         return float(np.interp(s, self.s_grid, self.column(w)))
 
 
-_CHUNK = 64                 # steps per doubling scan; fixed, so no column depends on the others
-_GROUP_ELEMENTS = 2 ** 14   # per matrix component of the chunks scanned together
-_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_CHUNK = 16                 # steps per chunk of the scan
+_SUPER = 8                  # chunks per superchunk; both fixed, so no column depends on the others
+_GROUP_ELEMENTS = 2 ** 15   # column-steps of the superchunks scanned together
+_EYE = ((1.0,), (), (), (), (1.0,), (), (), (), (1.0,))
+
+
+def _add(x, y):
+    """x + y, skipping a zero float so that no array operation is spent on it."""
+    if isinstance(x, float) and x == 0.0:
+        return y
+    return x if isinstance(y, float) and y == 0.0 else x + y
+
+
+def _mul(x, y):
+    """x y, skipping a factor that is the float 0 or 1."""
+    if isinstance(x, float) and x in (0.0, 1.0):
+        return y if x == 1.0 else 0.0
+    if isinstance(y, float) and y in (0.0, 1.0):
+        return x if y == 1.0 else 0.0
+    return x * y
+
+
+def _poly_add(p, q):
+    """p + q for polynomials in v given as coefficient tuples, lowest degree
+    first; a coefficient is a float or an array over the steps, and () is 0."""
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(_add(a, b) for a, b in zip(p, q)) + p[len(q):]
+
+
+def _poly_mul(p, q):
+    """p q for polynomials in v given as coefficient tuples."""
+    out = [0.0] * max(0, len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = _add(out[i + j], _mul(a, b))
+    return tuple(out)
+
+
+def _poly_scale(x, p):
+    return tuple(_mul(x, a) for a in p)
 
 
 def _companion_times(c, m):
     """A m for A = [[0, 1, 0], [0, 0, 1], [c0, c1, c2]] and m a row-major
-    3x3 matrix given as its nine components."""
-    c0, c1, c2 = c
-    return (*m[3:], *(c0 * m[j] + c1 * m[3 + j] + c2 * m[6 + j] for j in range(3)))
+    3x3 matrix given as its nine components, all polynomials in v."""
+    row = [_poly_add(_poly_add(_poly_mul(c[0], m[j]), _poly_mul(c[1], m[3 + j])),
+                     _poly_mul(c[2], m[6 + j])) for j in range(3)]
+    return (*m[3:], *row)
 
 
-def _rk4_step_matrices(ca, cb, cc, h):
-    """Components of I + (h/6)(K1 + 2 K2 + 2 K3 + K4), the classical RK4 step
-    of Y' = A Y, from A's coefficients at the start, middle and end of each
-    step: K1 = A_a, K2 = A_b (I + h K1/2), K3 = A_b (I + h K2/2),
-    K4 = A_c (I + h K3)."""
-    k1 = (0.0, 1.0, 0.0, 0.0, 0.0, 1.0, *ca)
-    k2 = _companion_times(cb, [e + 0.5 * h * k for e, k in zip(_EYE, k1)])
-    k3 = _companion_times(cb, [e + 0.5 * h * k for e, k in zip(_EYE, k2)])
-    k4 = _companion_times(cc, [e + h * k for e, k in zip(_EYE, k3)])
-    return [e + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for e, a, b, c, d in zip(_EYE, k1, k2, k3, k4)]
+def _rk4_step_polynomials(ca, cb, cc):
+    """Components of I + (K1 + 2 K2 + 2 K3 + K4)/3 as polynomials in v, from
+    the coefficients of a companion matrix B at the start, middle and end of
+    each step: K1 = B_a, K2 = B_b (I + K1), K3 = B_b (I + K2),
+    K4 = B_c (I + 2 K3).  For B = (h/2) A this is the classical RK4 step of
+    Y' = A Y.  B is linear in v, so the step is of degree at most 4; its
+    coefficients do not depend on v."""
+    def plus_eye(k):
+        return [_poly_add(e, a) for e, a in zip(_EYE, k)]
+
+    k1 = ((), (1.0,), (), (), (), (1.0,), *ca)
+    k2 = _companion_times(cb, plus_eye(k1))
+    total = [_poly_add(a, _poly_scale(2.0, b)) for a, b in zip(k1, k2)]
+    k3 = [_poly_scale(2.0, a) for a in _companion_times(cb, plus_eye(k2))]
+    total = [_poly_add(a, b) for a, b in zip(total, k3)]
+    k4 = _companion_times(cc, plus_eye(k3))
+    return [_poly_add(e, _poly_scale(1.0 / 3.0, _poly_add(a, b)))
+            for e, a, b in zip(_EYE, total, k4)]
 
 
-def _chunk_prefix_products(steps):
-    """Prefix products S_j ... S_1 within consecutive chunks of _CHUNK steps.
+def _horner(poly, v, out):
+    """out = sum_p poly[p] v^p by Horner's rule, broadcast into out.  While
+    the leading coefficients are floats, the sum runs on v alone."""
+    k = len(poly) - 1
+    acc = poly[k]
+    if np.ndim(acc) == 0:
+        while k > 1 and np.ndim(poly[k - 1]) == 0:
+            k -= 1
+            acc = acc * v + poly[k]
+    np.multiply(acc, v, out=out)
+    out += poly[k - 1]
+    for a in reversed(poly[:k - 1]):
+        out *= v
+        out += a
 
-    steps holds the nine components of the step matrices, each broadcastable
-    to (n_steps, n_cols).  Returns an array (9, n_chunks, _CHUNK, n_cols); the
-    last chunk is padded with identities.  The products come from a
-    Hillis-Steele doubling scan, M[d:] <- M[d:] M[:-d] for d = 1, 2, 4, ...
-    """
-    n_steps, n_cols = np.broadcast_shapes(*(np.shape(c) for c in steps))
-    n_chunks = -(-n_steps // _CHUNK)
-    m = np.empty((9, n_chunks * _CHUNK, n_cols))
-    m[:, n_steps:] = np.array(_EYE)[:, None, None]
-    for i, comp in enumerate(steps):
-        m[i, :n_steps] = comp
-    m = m.reshape(9, n_chunks, _CHUNK, n_cols)
-    new = np.empty_like(m)
-    tmp = np.empty_like(m[0])
-    d = 1
-    while d < _CHUNK:
-        a, b, t = m[:, :, d:], m[:, :, :-d], tmp[:, d:]
-        for r in range(3):
-            for j in range(3):
-                out = new[3 * r + j, :, d:]
-                np.multiply(a[3 * r], b[j], out=out)
-                out += np.multiply(a[3 * r + 1], b[3 + j], out=t)
-                out += np.multiply(a[3 * r + 2], b[6 + j], out=t)
-        new[:, :, :d] = m[:, :, :d]
-        m, new = new, m
-        d *= 2
-    return m
+
+def _matvec(m, y, out, tmp):
+    """out = m y for stacked 3x3 matrices m (3, 3, ...) and vectors y (3, ...),
+    summed in the order of the step-by-step loop."""
+    np.multiply(m[:, 0], y[0], out=out)
+    out += np.multiply(m[:, 1], y[1], out=tmp)
+    out += np.multiply(m[:, 2], y[2], out=tmp)
+
+
+def _products(m):
+    """m[:, :, -1] ... m[:, :, 1] m[:, :, 0] for stacked 3x3 matrices m."""
+    p = m[:, :, 0].copy()
+    new, tmp = np.empty_like(p), np.empty_like(p)
+    for j in range(1, m.shape[2]):
+        _matvec(m[:, :, j, None], p, new, tmp)
+        p, new = new, p
+    return p
+
+
+def _step_states(m, y, out):
+    """out[:, j] = m[:, :, j] ... m[:, :, 0] y, one matrix at a time."""
+    tmp = np.empty_like(y)
+    for j in range(m.shape[2]):
+        _matvec(m[:, :, j], y, out[:, j], tmp)
+        y = out[:, j]
+
+
+def _ode_steps(sol, s_hi, h, n, k):
+    """The RK4 step matrices of the steps k (of n) of length h down from
+    s_hi, as polynomials in v = h w / 4 for the state (f, r f', r^2 f''),
+    r = h/2.
+
+    f''' = (a + b w) f + c f' + (w/2) f'' with a = (3 u' + 2)/4, b = -u/2
+    and c = (6 u + s)/4; in that state (h/2) A is the companion matrix with
+    last row (r^3 a + 2 r^2 b v, r^2 c, v)."""
+    half = s_hi + 0.5 * h * np.arange(2 * n + 1)
+    U, Up = sol.potentials(half)
+    r = h / 2.0
+    alpha, beta, gamma = r ** 3 * (3.0 * Up + 2.0) / 4.0, -r * r * U, r * r * (6.0 * U + half) / 4.0
+
+    def coef(i):
+        return (alpha[i], beta[i]), (gamma[i],), (0.0, 1.0)
+
+    return _rk4_step_polynomials(coef(2 * k), coef(2 * k + 1), coef(2 * k + 2))
 
 
 def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
@@ -231,57 +311,82 @@ def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
     at s_hi = 12.  Downward integration is stable: the wanted solution is
     the fastest-growing one in that direction.
 
-    The scheme is classical RK4 on Y = (f, f_s, f_ss).  The equation is
-    linear, so every step is a fixed 3x3 matrix per column, known before the
-    sweep.  The step matrices are built as arrays, their prefix products
-    within chunks of _CHUNK steps come from a doubling scan, and the state
-    is carried from one chunk to the next.  Every operation is elementwise
-    in the columns and the chunking is fixed, so each column's values are
-    bitwise independent of the other columns in the call.
+    The scheme is classical RK4 on Y = (f, f_s, f_ss), stepped in the
+    scaled state (f, r f_s, r^2 f_ss) with r = h/2, where (h/2) A is a
+    companion matrix.  The equation is linear, so every step is a fixed 3x3
+    matrix per column, known before the sweep, and a polynomial of degree at
+    most 4 in w: its w-free coefficients are built once per step for all
+    columns and evaluated per column by Horner's rule.
+
+    The steps are cut into chunks of _CHUNK and the chunks into superchunks
+    of _SUPER, both counted from s_hi.  A group of superchunks is scanned in
+    two passes, vectorized over its chunks and columns.  The first pass
+    multiplies out the product of each chunk's steps, step by step, and from
+    those the product of each superchunk's chunks.  The state is then carried
+    from one superchunk start to the next, which continues from group to
+    group, and stepped through each superchunk's chunk products to every
+    chunk start.  The second pass steps the state from every chunk start
+    through its chunk.  Every operation is elementwise in the columns, and
+    the chunks, superchunks and carry order do not depend on the grouping,
+    so each column's values are bitwise independent of the other columns in
+    the call.
     """
     w_arr = np.atleast_1d(np.asarray(w_values, dtype=float))
     if np.any(np.abs(w_arr) > W_CAP):
         raise DomainError(f"|w| capped at {W_CAP}")
     n = max(1, int(round((s_hi - s_lo) / step)))   # s_lo within half a step of s_hi: one step
     h = -(s_hi - s_lo) / n
-    half = s_hi + 0.5 * h * np.arange(2 * n + 1)
-    U, Up = sol.potentials(half)
-    # f''' = c0 f + c1 f' + c2 f''
-    c0_base = (3.0 * Up + 2.0) / 4.0
-    c1 = (6.0 * U + half) / 4.0
-    c2 = w_arr / 2.0
+    seed = np.array(f_closed(np.array([s_hi]), w_arr, derivatives=2))
+    if h == 0.0:                                   # s_lo = s_hi: the step leaves the seed
+        return FProfile(s_grid=np.full(2, s_hi), w_values=w_arr,
+                        f=np.tile(seed[0], (2, 1)), f_s=np.tile(seed[1], (2, 1)),
+                        f_ss=np.tile(seed[2], (2, 1)))
+    n_cols = len(w_arr)
+    size = _CHUNK * _SUPER
+    span = size * max(1, _GROUP_ELEMENTS // (size * n_cols))
+    n_pad = -(-n // size) * size
+    groups = [(k0, min(k0 + span, n_pad)) for k0 in range(0, n, span)]
+    # within a group, step j of chunk i of superchunk c is stored at
+    # [j, i, c]; the padding repeats the last step, and no state before it
+    # depends on it
+    order = np.concatenate([np.arange(k0, k1).reshape(-1, _SUPER, _CHUNK).T.ravel()
+                            for k0, k1 in groups])
+    steps = _ode_steps(sol, s_hi, h, n, np.minimum(order, n - 1))
 
-    def coef(i):
-        return c0_base[i, None] - 0.5 * U[i, None] * w_arr, c1[i, None], c2
+    desc = np.empty((3, n_pad + 1, n_cols))        # descending s
+    desc[:, 0] = seed
+    scale = np.array([1.0, h / 2.0, h * h / 4.0])
+    Y = seed * scale[:, None]
+    v_col = (h / 4.0) * w_arr[:, None, None]
+    S_buf, states_buf = np.empty(9 * span * n_cols), np.empty(3 * span * n_cols)
+    for k0, k1 in groups:
+        n_super = (k1 - k0) // size
+        # S[:, :, j, col, i, c]: the step matrices, evaluated per column
+        S = S_buf[:9 * (k1 - k0) * n_cols].reshape(3, 3, _CHUNK, n_cols, _SUPER, n_super)
+        for m, poly in zip(S.reshape(9, *S.shape[2:]), steps):
+            _horner([p if np.ndim(p) == 0 else p[k0:k1].reshape(_CHUNK, 1, _SUPER, n_super)
+                     for p in poly], v_col, m)
+        # pass 1: the product of the steps of each chunk, then of the chunks
+        # of each superchunk
+        E = _products(S)                           # [:, :, col, i, c]
+        T = _products(np.moveaxis(E, 3, 2))        # [:, :, col, c]
+        # the carry from one superchunk start to the next, then every chunk
+        # start, then (pass 2) every state, each stepped from its start
+        sup = np.empty((3, n_cols, n_super))
+        sup[:, :, 0] = Y
+        _step_states(np.moveaxis(T, 3, 2)[:, :, :-1], Y, np.moveaxis(sup, 2, 1)[:, 1:])
+        _matvec(T[..., -1], sup[..., -1], Y, np.empty_like(Y))
+        starts = np.empty((3, n_cols, _SUPER, n_super))
+        starts[:, :, 0] = sup
+        _step_states(np.moveaxis(E, 3, 2)[:, :, :-1], sup, np.moveaxis(starts, 2, 1)[:, 1:])
+        states = states_buf[:3 * (k1 - k0) * n_cols].reshape(3, _CHUNK, n_cols, _SUPER, n_super)
+        _step_states(S, starts, states)
+        np.divide(states.transpose(0, 4, 3, 1, 2), scale[:, None, None, None, None],
+                  out=desc[:, k0 + 1:k1 + 1].reshape(3, n_super, _SUPER, _CHUNK, n_cols))
 
-    Y = np.empty((3, len(w_arr)))
-    for i, w in enumerate(w_arr):
-        a0, a1, a2 = f_closed(np.array([s_hi]), w, derivatives=2)
-        Y[0, i], Y[1, i], Y[2, i] = a0[0], a1[0], a2[0]
-
-    out = np.empty((3, n + 1, len(w_arr)))     # ascending s
-    desc = out[:, ::-1]
-    desc[:, 0] = Y
-    # chunks are scanned a group at a time, which keeps the working set in
-    # cache; the grouping does not change any column's arithmetic
-    span = _CHUNK * max(1, _GROUP_ELEMENTS // (_CHUNK * len(w_arr)))
-    for k0 in range(0, n, span):
-        k1 = min(k0 + span, n)
-        i = 2 * np.arange(k0, k1)
-        P = _chunk_prefix_products(_rk4_step_matrices(coef(i), coef(i + 1), coef(i + 2), h))
-        starts = np.empty((3, P.shape[1], len(w_arr)))
-        for c in range(P.shape[1]):
-            starts[:, c] = Y
-            e = P[:, c, -1]
-            Y = np.array([e[3 * r] * Y[0] + e[3 * r + 1] * Y[1] + e[3 * r + 2] * Y[2]
-                          for r in range(3)])
-        for r in range(3):
-            states = (P[3 * r] * starts[0, :, None] + P[3 * r + 1] * starts[1, :, None]
-                      + P[3 * r + 2] * starts[2, :, None])
-            desc[r, k0 + 1:k1 + 1] = states.reshape(-1, len(w_arr))[:k1 - k0]
-
+    asc = desc[:, n::-1]
     return FProfile(s_grid=(s_hi + h * np.arange(n + 1))[::-1].copy(), w_values=w_arr,
-                    f=out[0], f_s=out[1], f_ss=out[2])
+                    f=asc[0], f_s=asc[1], f_ss=asc[2])
 
 
 def f_function(s, w, psi=None, sol=None, with_error=False):
@@ -300,11 +405,13 @@ def f_function(s, w, psi=None, sol=None, with_error=False):
     return val, max(3e-6 * max(1.0, abs(val)), abs(val - reseeded))
 
 
-def _tail_product(w, x_hi=26.0):
-    """int_{S_SEED}^{x_hi} f_closed(x, w) f_closed(x, -w) dx (analytic tail)."""
-    x = np.linspace(S_SEED, x_hi, 1401)
-    y = f_closed(x, w) * f_closed(x, -w)
-    return float(simpson(y, x=x))
+def _tail_product(w):
+    """int_{S_SEED}^inf f_closed(x, w) f_closed(x, -w) dx in closed form.
+
+    The exponentials of the two factors cancel, which leaves
+    (2^{11/3}/pi)^2 int [Ai'(theta)^2/2^{4/3} - (w/4)^2 Ai(theta)^2] dx,
+    the Airy primitive of joint_pdf_large_s."""
+    return TAIL_FROM_LARGE_S * joint_pdf_large_s(S_SEED, w)
 
 
 def _taylor_to(prof, sol, node, s_points):
@@ -348,9 +455,10 @@ def _density_columns(w_values, sol, s_points):
     scale = JOINT_PREFACTOR * tracy_widom_f1(s_points, sol)
     out = np.empty((len(s_points), len(w_values)))
     n_w = len(w_values)
-    for j, w in enumerate(w_values):
+    tails = _tail_product(w_values)
+    for j in range(n_w):
         prod = f_desc[:, where[j]] * f_desc[:, where[n_w + j]]
-        inner = cumulative_simpson(prod, x=x_desc, initial=0.0) + _tail_product(w)
+        inner = cumulative_simpson(prod, x=x_desc, initial=0.0) + tails[j]
         gap = np.sum(gauss_w * f_gap[:, :, where[j]] * f_gap[:, :, where[n_w + j]], axis=1)
         out[:, j] = scale * (inner[idx] + gap)
     return out

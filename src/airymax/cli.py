@@ -178,6 +178,12 @@ def cmd_validate(args):
     from . import validation
     if args.mc_samples < 1:
         raise DomainError("--mc-samples must be at least 1")
+    n_criteria = len(validation.ALL_CRITERIA)
+    if args.only is not None and not args.only:
+        raise DomainError("--only needs at least one criterion index")
+    outside = sorted(set(args.only or ()) - set(range(1, n_criteria + 1)))
+    if outside:
+        raise DomainError(f"--only indices {outside} outside 1-{n_criteria}")
     subset = set(args.only) if args.only else None
     ctx = validation.build_context(mc_samples=args.mc_samples)
     results = validation.run_all(ctx, subset=subset)

@@ -19,8 +19,8 @@ Airy Ai and Ai' have three ranges; against mpmath at 40 digits:
   near a zero, so the switch is continuous to 4e-15 relative.
 Ai is continuous across x = 10 to 4e-15 relative.  No value is subnormal: a
 result below the smallest normal double (2.2e-308, past x ~ 104) is returned
-as exactly 0, and the series is evaluated at min(x, 110) so that no
-intermediate overflows.  Non-finite x and x < -2**20 raise DomainError.
+as exactly 0, and from x = 110 on both are 0 without evaluating the series,
+so no intermediate overflows.  Non-finite x and x < -2**20 raise DomainError.
 
 simpson and cumulative_simpson are numpy ports of the scipy.integrate
 functions of the same names for strictly increasing sample points; they
@@ -37,6 +37,7 @@ from . import _airy_nodes as _NODES
 from .errors import DomainError, MisconfigurationError
 
 _X_ASYMPTOTIC = 10.0
+_X_ZERO = 110.0
 _ASYMPTOTIC_TERMS = 24
 _TINY = np.finfo(float).tiny
 _SQRT_HALF = np.sqrt(0.5)
@@ -59,10 +60,8 @@ _U, _V = _asymptotic_coefficients(_ASYMPTOTIC_TERMS)
 
 
 def _airy_asymptotic(x):
-    """Ai and Ai' for x >= 10 by their asymptotic series, Horner in 1/zeta.
-    Both are 0 past x = 110, so larger x is evaluated there; zeta cannot
-    overflow."""
-    x = np.minimum(x, 110.0)
+    """Ai and Ai' for 10 <= x < 110 by their asymptotic series, Horner in
+    1/zeta; a result below the smallest normal double is returned as 0."""
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     r = 1.0 / zeta
     su, sv = _U[-1], _V[-1]
@@ -118,9 +117,16 @@ def _airy_taylor(x):
     return ai, aip
 
 
+def _airy_zero(x):
+    """Ai and Ai' for x >= 110, where both are below the smallest normal
+    double and _airy_asymptotic would return 0."""
+    return np.zeros_like(x), np.zeros_like(x)
+
+
 _AIRY_RANGES = ((-np.inf, _NODES.X_MIN, _airy_oscillatory),
                 (_NODES.X_MIN, _X_ASYMPTOTIC, _airy_taylor),
-                (_X_ASYMPTOTIC, np.inf, _airy_asymptotic))
+                (_X_ASYMPTOTIC, _X_ZERO, _airy_asymptotic),
+                (_X_ZERO, np.inf, _airy_zero))
 
 
 def _airy_pair(x):

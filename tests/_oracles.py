@@ -354,7 +354,7 @@ def transport_profile_sequential(w_values, sol, s_lo=-10.5, s_hi=12.0, step=0.00
     """Integrate the third-order f-ODE in s downward from s_hi for each w.
 
     The step-by-step RK4 loop that airymax.airy2.transport_profile reorders
-    into prefix products of step matrices: same equation, seed, grid and
+    into a chunked scan of step matrices: same equation, seed, grid and
     scheme, with each step applied to the state in turn.
     """
     from airymax.airy2 import FProfile, f_closed

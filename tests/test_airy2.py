@@ -71,10 +71,11 @@ def test_transport_seed_insensitivity(sol):
 
 
 def test_transport_matches_sequential(sol):
-    # the prefix-product transport against the step-by-step RK4 loop, relative
-    # to each column's scale; rounding grows with depth as the ODE amplifies it
-    # (the loop's own step-halving change is ~1e-11 at s = -5, ~2e-7 at -10.5).
-    # Measured: f 5.6e-12 / 2.3e-7, f_s 3.1e-11 / 1.9e-6, f_ss 8.9e-11 / 7.4e-6.
+    # the chunked two-pass transport against the step-by-step RK4 loop,
+    # relative to each column's scale; rounding grows with depth as the ODE
+    # amplifies it (the loop's own step-halving change is ~1e-11 at s = -5,
+    # ~2e-7 at -10.5).
+    # Measured: f 5.3e-12 / 2.2e-7, f_s 3.0e-11 / 1.8e-6, f_ss 9.0e-11 / 7.6e-6.
     w_pos = np.round(np.arange(0.0, 6.05, 0.1), 12)   # build_joint_density_grid's 121 columns
     w = np.concatenate([w_pos, -w_pos[1:]])
     new = airy2.transport_profile(w, sol, s_lo=-10.5)
@@ -95,6 +96,16 @@ def test_transport_columns_independent(sol):
         alone = airy2.transport_profile([w[j]], sol, s_lo=-4.0)
         for name in ("f", "f_s", "f_ss"):
             assert np.array_equal(getattr(alone, name)[:, 0], getattr(many, name)[:, j])
+    # full depth with 1, 2, 85 and 121 columns: each column is bitwise the
+    # same in every call, so no chunking may follow the column count
+    w_pos = np.round(np.arange(0.0, 6.05, 0.1), 12)   # build_joint_density_grid's 121 columns
+    w = np.concatenate([w_pos, -w_pos[1:]])
+    full = airy2.transport_profile(w, sol, s_lo=-10.5)
+    marginal = np.r_[0:43, 61:103]                     # cmd_marginal's 85: |w| <= 4.2
+    for cols in ([120], [5, 65], marginal):
+        part = airy2.transport_profile(w[cols], sol, s_lo=-10.5)
+        for name in ("f", "f_s", "f_ss"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[:, cols])
 
 
 def test_profile_value_outside_range_raises(sol):
@@ -309,21 +320,38 @@ def test_argmax_marginal_matches_integrated_mfqr(joint_grid, t, tol):
 
 
 def test_inner_integral_convergence(sol, monkeypatch):
-    # doubling the analytic tail window or refining the transport leaves
-    # P(0, 0.5) unchanged at the 1e-6 level
+    # refining the transport leaves P(0, 0.5) unchanged at the 1e-6 level
     base = airy2.joint_pdf(0.0, 0.5, sol=sol)
-    transport, tail = airy2.transport_profile, airy2._tail_product
+    transport = airy2.transport_profile
     with monkeypatch.context() as m:
         m.setattr(airy2, "transport_profile",
                   lambda w, sol, **k: transport(w, sol, step=0.00125, **k))
         fine = airy2.joint_pdf(0.0, 0.5, sol=sol)
-    widened = []
-    with monkeypatch.context() as m:
-        m.setattr(airy2, "_tail_product", lambda w: widened.append(w) or tail(w, x_hi=38.0))
-        wide = airy2.joint_pdf(0.0, 0.5, sol=sol)
-    assert fine != base and widened == [0.5]
+    assert fine != base
     assert abs(base - fine) <= 1e-6
-    assert abs(base - wide) <= 1e-6
+
+
+@pytest.mark.parametrize("w", [0.0, 2.5, 6.0])
+def test_tail_product_against_mpmath_quadrature(w):
+    # the closed-form tail int_12^inf f_closed(x, w) f_closed(x, -w) dx
+    # against a 20-digit quadrature of the product itself; the integrand is
+    # scaled to 1 at x = 12, because mpmath's stopping rule is absolute.
+    # Measured: 4.2e-15, 7.0e-15 and 1.1e-14 relative (the 1401-point
+    # Simpson rule on [12, 26] that it replaced was off by 7e-9 to 2.3e-8).
+    mp = pytest.importorskip("mpmath")
+
+    def f_closed(x, w):
+        theta = x / mp.cbrt(4) + w * w / mp.mpf(2) ** (mp.mpf(8) / 3)
+        return (-mp.mpf(2) ** (mp.mpf(11) / 3) / mp.pi * mp.exp(w ** 3 / 24 + w * x / 4)
+                * (w / 4 * mp.airyai(theta) + mp.airyai(theta, derivative=1) / mp.cbrt(4)))
+
+    with mp.workdps(20):
+        w_mp = mp.mpf(w)
+        scale = f_closed(12, w_mp) * f_closed(12, -w_mp)
+        ref = scale * mp.quad(lambda x: f_closed(x, w_mp) * f_closed(x, -w_mp) / scale,
+                              [12, 14, 18, mp.inf])
+    for v in (w, -w):
+        assert abs(float(airy2._tail_product(v)) / float(ref) - 1.0) <= 1e-12
 
 
 def test_tail_constants(sol, joint_grid):

@@ -112,6 +112,34 @@ def test_validate_refuses_mc_samples_below_one_at_entry(monkeypatch):
     assert main(["validate", "--only", "12", "--mc-samples", "0"]) == 1
 
 
+@pytest.mark.parametrize("only", [["99"], ["0"], ["-1"], ["2", "13"], []])
+def test_validate_refuses_bad_only_at_entry(monkeypatch, only):
+    # an index outside 1-12 ran no criterion and exited 0; a bare --only ran
+    # all twelve
+    from airymax import validation
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("validate ran past its argument check")
+
+    monkeypatch.setattr(validation, "build_context", unreachable)
+    monkeypatch.setattr(cli, "solve_hastings_mcleod", unreachable)
+    assert main(["validate", "--only", *only]) == 1
+
+
+def test_tw_f1_bytes_unchanged_by_the_airy_zero_range(tmp_path, monkeypatch):
+    # Ai and Ai' are 0 from x = 110 on without the asymptotic series; summing
+    # the series there (at x clipped to 110) gives the same CSV bytes
+    from airymax import special
+
+    fast, series = str(tmp_path / "fast.csv"), str(tmp_path / "series.csv")
+    assert main(["tw-f1", "-o", fast]) == 0
+    ranges = special._AIRY_RANGES[:-2] + (
+        (10.0, np.inf, lambda x: special._airy_asymptotic(np.minimum(x, 110.0))),)
+    monkeypatch.setattr(special, "_AIRY_RANGES", ranges)
+    assert main(["tw-f1", "-o", series]) == 0
+    assert open(fast, "rb").read() == open(series, "rb").read()
+
+
 @pytest.mark.parametrize("exc", [
     ValueError("autodetected range of [nan, nan] is not finite"),
     SolverFailureError(1.0),

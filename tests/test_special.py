@@ -169,6 +169,26 @@ def test_airy_underflow_is_silent_zero():
         assert special.airy_ai_prime(200.0) == 0.0
 
 
+@pytest.mark.parametrize("x", [110.0, 200.0, 1e6])
+def test_airy_zero_from_110_without_the_series(x, monkeypatch):
+    # the series flushes to 0 from x = 110 on, so that range returns zeros
+    # without summing it; the values are the series' own, bit for bit
+    series_at_110 = special._airy_asymptotic(np.array([110.0]))
+    assert series_at_110[0][0] == 0.0 and series_at_110[1][0] == 0.0
+
+    def no_series(x):
+        raise AssertionError("asymptotic series evaluated at x >= 110")
+    series = special._airy_asymptotic
+    monkeypatch.setattr(special, "_airy_asymptotic", no_series)
+    monkeypatch.setattr(special, "_AIRY_RANGES",
+                        tuple((lo, hi, no_series if fn is series else fn)
+                              for lo, hi, fn in special._AIRY_RANGES))
+    for arg in (x, np.array([x, x])):
+        ai, aip = special.airy_both(arg)
+        assert np.all(ai == 0.0) and np.all(aip == 0.0)
+        assert not np.any(np.signbit(ai)) and not np.any(np.signbit(aip))
+
+
 def test_quadrature_rule_invariants():
     rule = special.gauss_legendre_rule(-1.5, 2.5, 40)
     assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(4.0, rel=1e-13)
