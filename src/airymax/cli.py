@@ -5,6 +5,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -13,8 +14,8 @@ import numpy as np
 
 from . import airy2, fredholm, mc
 from .errors import DomainError
-from .finite_n import (build_op_table, cdf_max_finite_n, edge_law_convergence, jpdf_finite_n,
-                       large_deviation_eval)
+from .finite_n import (build_op_tables, cdf_max_finite_n, check_table_domain,
+                       edge_law_convergence, jpdf_finite_n, large_deviation_eval)
 from .painleve import export_table, solve_hastings_mcleod
 
 SCHEMA_VERSION = 1
@@ -23,6 +24,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VALIDATION = 3
+
+FINITE_N_MAX_ROWS = 4096    # M values of one finite-n grid
 
 
 def write_csv(path, header, rows):
@@ -113,15 +116,23 @@ def cmd_airy2(args):
 
 
 def cmd_finite_n(args):
-    if not (args.m_step > 0 and args.m_min <= args.m_max):
+    m_min, m_max, m_step = args.m_min, args.m_max, args.m_step
+    if not all(map(math.isfinite, (m_min, m_max, m_step))):
+        raise DomainError("--m-min, --m-max and --m-step must be finite")
+    if not (m_step > 0 and m_min <= m_max):
         raise DomainError("need m_step > 0 and m_min <= m_max")
     N = args.walkers
+    check_table_domain((m_min, m_max), N)
+    n_rows = (m_max + m_step / 2 - m_min) / m_step      # np.arange's length, before its ceil
+    if not n_rows <= FINITE_N_MAX_ROWS:
+        raise DomainError(f"the M grid has {math.ceil(n_rows)} values, above {FINITE_N_MAX_ROWS}")
+    m_grid = np.round(np.arange(m_min, m_max + m_step / 2, m_step), 12)
+    taus = np.round(np.arange(0.1, 0.91, 0.1), 12)
     rows = []
-    for M in np.round(np.arange(args.m_min, args.m_max + args.m_step / 2, args.m_step), 12):
-        model = build_op_table(M, N)
+    for M, model in zip(m_grid, build_op_tables(m_grid, N)):
         cdf = cdf_max_finite_n(M, N, model=model)
-        for tau in np.round(np.arange(0.1, 0.91, 0.1), 12):
-            rows.append((M, tau, jpdf_finite_n(M, tau, N, model=model), cdf))
+        dens = jpdf_finite_n(M, taus, N, model=model)
+        rows.extend((M, tau, d, cdf) for tau, d in zip(taus, dens))
     _emit(args, ["M", "tau", "joint_density", "cdf_max"], rows, {
         "joint_density": f"exact joint density at N = {N}",
         "cdf_max": "cumulative distribution of the maximal height"})

@@ -3,18 +3,23 @@ lattice with weight exp(-pi^2 n^2 / (2 M^2)), the alternating G sums, the
 joint density of (max height, argmax time) for N non-intersecting excursions,
 its cumulative in M, and the large-M asymptotic cross-checks.
 
-One Stieltjes kernel serves build_op_table (degree 2N - 1, N <= 256) and
-recurrence_table (any degree the lattice supports).  It runs on orthonormal
-wave functions, each value a float mantissa times a per-n power of two, so
-wave functions reaching past the weight's underflow need no extra digits;
-norms are tracked as log h_k.  It reorthogonalizes within each parity only
-where Simon's omega recurrence or a cancelling three-term step calls for it,
-and raises PrecisionError only at Lanczos breakdown.
+One Stieltjes kernel serves build_op_tables (degree 2N - 1, N <= 256, a
+whole grid of M at once), build_op_table (one M) and recurrence_table (any
+degree the lattice supports).  It runs on a block of rows, one per M, in
+array operations over (lattice point, row); each row keeps its own lattice,
+exponents, omega estimates, projections and resets, so a row's table is
+the same bit for bit alone or in any block.  It works on orthonormal wave
+functions, each value a float mantissa times a per-n power of two, so wave
+functions reaching past the weight's underflow need no extra digits; norms
+are tracked as log h_k.  It reorthogonalizes within each parity only where
+Simon's omega recurrence or a cancelling three-term step calls for it, and
+raises PrecisionError only at Lanczos breakdown.
 The alternating G sums cancel to about exp(-M^2/(1+2u)) of their term scale,
 far beyond double precision once M^2/(1+2u) passes ~35.  Where they cancel,
 G is taken from their Poisson dual: a sum of a few Hermite-function terms
 that carry that scale themselves and do not cancel.  Every k and both signs
-of u come from one pass per op table (g_product_sum).
+of u come from one pass per op table, on the distinct values of u and -u
+(g_product_sum), so a row of the joint density at one M is one G pass.
 """
 
 import math
@@ -33,6 +38,7 @@ _MAX_PASSES = 4                        # projections per reorthogonalization
 _CANCELLED = 1e-2                      # gamma_k / gamma_{k-1} below this projects y
 _BREAKDOWN_SHARE = 1e-18               # less of the residual left is rounding noise
 _DRIFT = 300.0                         # log2 range of the unreset mantissas
+_HISTORY_BYTES = 1 << 24               # stored wave functions of one block of rows
 
 
 def suggested_n_max(M, deg_max):
@@ -46,110 +52,146 @@ def suggested_n_max(M, deg_max):
     return int(math.ceil(max(8.0 * M + 50.0, 1.8 * n_peak + 50.0)))
 
 
-def _norm(mantissa, exponent):
-    v = np.ldexp(mantissa, exponent)
-    return math.sqrt(float(np.dot(v, v)))
+def _column_norms(mantissa, exponent, widths):
+    """Euclidean norm of mantissa * 2^exponent for each row r (column r of
+    the (lattice point, row) arrays) over its first widths[r] points, one
+    contiguous dot per row: the zeros past a row's lattice take no part, so
+    its norm does not depend on the rows beside it."""
+    v = np.ascontiguousarray(np.ldexp(mantissa, exponent).T)
+    return np.array([math.sqrt(float(np.dot(col[:w], col[:w]))) for col, w in zip(v, widths)])
 
 
 def _stieltjes(M, n_max, deg_max):
-    """log h_0 and gamma_k (k <= deg_max) of the lattice weight
-    w(n) = exp(-pi^2 n^2/(2 M^2)), |n| <= n_max, by the Stieltjes procedure
-    (Gautschi 2004) on the orthonormal wave functions psi_k = phat_k sqrt(w):
+    """log h_0 and gamma_k (k <= deg_max) of the lattice weights
+    w(n) = exp(-pi^2 n^2/(2 M^2)), |n| <= n_max, one row per entry of the
+    arrays M and n_max; shapes (rows,) and (rows, deg_max + 1).
+
+    The rows run in blocks whose stored wave functions fit in _HISTORY_BYTES.
+    A block is one pass of _stieltjes_block, and a row's table is the same
+    bit for bit whichever rows share its block.
+    """
+    M = np.asarray(M, dtype=float)
+    n_max = np.asarray(n_max, dtype=np.int64)
+    size = max(1, _HISTORY_BYTES // (8 * (deg_max + 1) * (int(n_max.max()) + 1)))
+    blocks = [_stieltjes_block(M[i:i + size], n_max[i:i + size], deg_max)
+              for i in range(0, len(M), size)]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _stieltjes_block(M, n_max, deg_max):
+    """The Stieltjes procedure (Gautschi 2004) for a block of rows, on the
+    orthonormal wave functions psi_k = phat_k sqrt(w):
     gamma_{k+1} psi_{k+1} = n psi_k - gamma_k psi_{k-1}.
 
     psi_k has the parity of k, so the kernel runs on n >= 0 with psi scaled
     by sqrt(2) off n = 0, where same-parity inner products are plain dots.
-    Each value is a float mantissa times a per-n power of two shared by the
-    two carried rows: the three-term step acts pointwise, so wave functions
-    reaching past the weight's underflow stay exact to rounding.  The
-    exponents are reset from the mantissas wherever a scalar bound on their
-    growth or decay since the last reset leaves [2^-_DRIFT, 2^_DRIFT].  The
-    normalized rows are also kept as plain floats, for projections only.
+    Each row lives on its own lattice 0..n_max, zero past it.  Each value is
+    a float mantissa times a per-(row, n) power of two shared by the two
+    carried wave functions: the three-term step acts pointwise, so wave
+    functions reaching past the weight's underflow stay exact to rounding.  A
+    row's exponents are reset from its mantissas wherever a scalar bound on
+    their growth or decay since its last reset leaves [2^-_DRIFT, 2^_DRIFT].
+    The normalized wave functions are also kept as plain floats, for
+    projections only.
 
-    Orthogonality to earlier rows of the same parity is estimated by Simon's
-    omega recurrence (Math. Comp. 42, 1984).  Where the estimate passes
-    sqrt(eps), for that row and the next, and where the three-term step
-    cancels (gamma_{k+1} below _CANCELLED gamma_k, which the estimate does
-    not model), the residual's overlaps with the stored rows of its parity
-    are measured and subtracted until they fall below eps^(3/4) of its norm.
-    Twice is usually enough (Parlett, The Symmetric Eigenvalue Problem,
-    sec. 6.9), but the stored rows are only semi-orthogonal, and after a
-    deep cancellation a third pass can be needed.  Where less than
-    _BREAKDOWN_SHARE of the residual remains it is rounding noise (Lanczos
-    breakdown: the weight lives on too few lattice points for the degree)
-    and PrecisionError is raised.
+    Orthogonality to earlier wave functions of the same parity is estimated
+    per row by Simon's omega recurrence (Math. Comp. 42, 1984).  Where the
+    estimate passes sqrt(eps), for that step and the next, and where the
+    three-term step cancels (gamma_{k+1} below _CANCELLED gamma_k, which the
+    estimate does not model), the row's residual alone is projected: its
+    overlaps with that row's stored wave functions of its parity are measured
+    and subtracted until they fall below eps^(3/4) of its norm.  Twice is
+    usually enough (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9), but
+    the stored rows are only semi-orthogonal, and after a deep cancellation
+    a third pass can be needed.  Where less than _BREAKDOWN_SHARE of the
+    residual remains it is rounding noise (Lanczos breakdown: the weight
+    lives on too few lattice points for the degree) and PrecisionError is
+    raised.
     """
-    n = np.arange(n_max + 1, dtype=float)
-    log2_sqw = -(np.pi ** 2 / (4.0 * M * M * math.log(2.0))) * n * n
+    n_rows = len(M)
+    widths = (n_max + 1).tolist()
+    n_max = n_max.astype(float)
+    n = np.arange(max(widths), dtype=float)[:, None]
+    # floored far below any double, so the exponents fit the int32 on which
+    # numpy vectorizes ldexp
+    log2_sqw = np.maximum(-(np.pi ** 2 / (4.0 * M * M * math.log(2.0))) * n * n, -2.0 ** 30)
     e = np.ceil(log2_sqw)
     psi = np.exp2(log2_sqw - e)
     psi[1:] *= math.sqrt(2.0)
-    e = e.astype(np.int64)
-    h0 = _norm(psi, e) ** 2
-    psi /= math.sqrt(h0)
+    psi[n > n_max] = 0.0
+    e = e.astype(np.int32)
+    h0 = _column_norms(psi, e, widths) ** 2
+    psi /= np.sqrt(h0)
     psi_prev = np.zeros_like(psi)
-    rows = np.empty((deg_max + 1, n_max + 1))
-    rows[0] = np.ldexp(psi, e)
-    gammas = np.zeros(deg_max + 1)
+    # one array per degree, not one block: the allocator reuses the pieces,
+    # where a freed multi-MB block would leave the heap's peak raised
+    stored = [np.ldexp(psi, e)]
+    gammas = np.zeros((deg_max + 1, n_rows))
     # omega[j + 1] estimates psi_k . psi_j for j of the parity of k; omega[0] = 0
-    omega, omega_prev = np.zeros(deg_max + 3), np.zeros(deg_max + 3)
+    omega, omega_prev = np.zeros((deg_max + 3, n_rows)), np.zeros((deg_max + 3, n_rows))
     omega[1] = 1.0
-    project_next = False
-    log2_drift = g_max = 0.0
+    project_next = np.zeros(n_rows, dtype=bool)
+    log2_drift, g_max = np.zeros(n_rows), np.zeros(n_rows)
     for k in range(deg_max):
         g_k = gammas[k]
         y = n * psi
         y -= g_k * psi_prev
-        g = g_in = _norm(y, e)
-        project = project_next or g < _CANCELLED * g_k
-        if k and not project:
-            # omega_{k+1, j} for j = p, p + 2, ..., k - 1, p the parity of k + 1,
-            # into the buffer of omega_{k-1}, which has parity p too
-            p = (k + 1) % 2
+        g = g_in = _column_norms(y, e, widths)
+        project = project_next | (g < _CANCELLED * g_k)
+        p = (k + 1) % 2
+        if k:
+            # omega_{k+1, j} for j = p, p + 2, ..., k - 1, into the buffer of
+            # omega_{k-1}, which has parity p too; a row that projects sets
+            # its entries below instead (its g may be tiny)
             rec = gammas[p + 1:k + 1:2] * omega[p + 2:k + 2:2]
             rec += gammas[p:k:2] * omega[p:k:2]
             rec -= g_k * omega_prev[p + 1:k + 1:2]
             # Simon's rounding term eps (gamma_{k+1} + gamma_{j+1}), at its largest
             rec += np.copysign(_EPS * (g + g_max), rec)
-            rec /= g
-            omega_prev[p + 1:k + 1:2] = rec
-            project = not np.abs(rec).max() <= _SEMI_ORTHOGONAL
-        if project:
-            # measure the residual's overlaps with the stored rows of its
-            # parity and subtract them until they fall below _ORTHOGONAL
-            same = rows[(k + 1) % 2:k:2]
+            rec = np.divide(rec, g, out=omega_prev[p + 1:k + 1:2], where=~project)
+            project |= ~(np.abs(rec).max(axis=0) <= _SEMI_ORTHOGONAL)
+        for r in project.nonzero()[0]:
+            # measure the row's overlaps with its stored wave functions of
+            # its parity and subtract them until they fall below _ORTHOGONAL
+            same = np.array([s[:widths[r], r] for s in stored[p:k:2]])
+            y_r, e_r = y[:widths[r], r], e[:widths[r], r]
             for _ in range(_MAX_PASSES):
-                v = np.ldexp(y, e)
+                v = np.ldexp(y_r, e_r)
                 c = np.dot(same, v)
-                g = math.sqrt(float(np.dot(v, v)))
-                if np.abs(c).max() <= _ORTHOGONAL * g:
+                g_r = math.sqrt(float(np.dot(v, v)))
+                if np.abs(c).max() <= _ORTHOGONAL * g_r:
                     break
-                y -= np.ldexp(np.dot(c, same), -e)
+                y_r -= np.ldexp(np.dot(c, same), -e_r)
             else:
                 raise PrecisionError(f"Stieltjes reorthogonalization at degree {k + 1} "
-                                     f"for M = {M} did not converge")
-            if not g > _BREAKDOWN_SHARE * g_in:
+                                     f"for M = {M[r]} did not converge")
+            if not g_r > _BREAKDOWN_SHARE * g_in[r]:
                 raise PrecisionError(
-                    f"Stieltjes breakdown at degree {k + 1} for M = {M}: projection "
-                    f"left {g / g_in:.1e} of the residual")
-            omega_prev[(k + 1) % 2 + 1:k + 1:2] = c / g
-            project_next = not project_next
+                    f"Stieltjes breakdown at degree {k + 1} for M = {M[r]}: projection "
+                    f"left {g_r / g_in[r]:.1e} of the residual")
+            omega_prev[p + 1:k + 1:2, r] = c / g_r
+            g[r] = g_r
+        project_next ^= project
         y /= g
         psi_prev, psi = psi, y
         # per step the larger of the two mantissas at a point grows by at most
         # (n_max + g_k)/g and falls by at most g_k/(2 max(n_max, g))
-        log2_drift += math.log2(max((n_max + g_k) / g, 2.0 * max(n_max, g) / g_k if k else 1.0))
-        if project or log2_drift > _DRIFT:
-            _, d = np.frexp(np.fmax(np.abs(psi), np.abs(psi_prev)))
-            psi, psi_prev, e = np.ldexp(psi, -d), np.ldexp(psi_prev, -d), e + d
-            log2_drift = 0.0
+        decay = 2.0 * np.maximum(n_max, g) / g_k if k else 1.0
+        log2_drift += np.log2(np.maximum((n_max + g_k) / g, decay))
+        reset = (project | (log2_drift > _DRIFT)).nonzero()[0]
+        if reset.size:
+            _, d = np.frexp(np.fmax(np.abs(psi[:, reset]), np.abs(psi_prev[:, reset])))
+            psi[:, reset] = np.ldexp(psi[:, reset], -d)
+            psi_prev[:, reset] = np.ldexp(psi_prev[:, reset], -d)
+            e[:, reset] += d
+            log2_drift[reset] = 0.0
         omega_prev[k + 2] = 1.0
         omega_prev, omega = omega, omega_prev
         gammas[k + 1] = g
-        g_max = max(g_max, g)
-        rows[k + 1] = np.ldexp(psi, e)
+        np.maximum(g_max, g, out=g_max)
+        stored.append(np.ldexp(psi, e))
     gammas[0] = np.nan
-    return math.log(h0), gammas
+    return np.array([math.log(h) for h in h0]), gammas.T
 
 
 @dataclass(frozen=True)
@@ -169,24 +211,42 @@ class FiniteNModel:
         return len(self.gamma) - 1
 
 
-def build_op_table(M, N):
-    """Recursion coefficients gamma_k and log norms log h_k of the lattice
-    weight exp(-pi^2 n^2/(2 M^2)) up to degree 2N - 1, N <= 256, from the
-    Stieltjes kernel; PrecisionError only at Lanczos breakdown, where the
-    weight lives on too few lattice points for the degree (e.g. M = 0.5 at
-    N = 8).
-    """
+def check_table_domain(M_values, N):
+    """DomainError unless 1 <= N <= 256 and every M lies in [0.5, 4 sqrt(2N)]."""
     if not 1 <= N <= 256:
         raise DomainError("walker count N must lie in [1, 256]")
-    if not 0.5 <= M <= 4.0 * math.sqrt(2.0 * N) + 1e-9:
-        raise DomainError(f"M = {M} outside [0.5, 4 sqrt(2N)]")
+    for M in M_values:
+        if not 0.5 <= M <= 4.0 * math.sqrt(2.0 * N) + 1e-9:
+            raise DomainError(f"M = {M} outside [0.5, 4 sqrt(2N)]")
+
+
+def build_op_tables(M_values, N):
+    """Recursion coefficients gamma_k and log norms log h_k of the lattice
+    weights exp(-pi^2 n^2/(2 M^2)) up to degree 2N - 1, N <= 256, one
+    FiniteNModel per M in order, from one run of the Stieltjes kernel.  Every
+    M is checked before any table is built.  PrecisionError only at Lanczos
+    breakdown, where the weight lives on too few lattice points for the
+    degree (e.g. M = 0.5 at N = 8); it names the M and ends the whole call.
+    """
+    M_values = [float(M) for M in M_values]
+    check_table_domain(M_values, N)
+    if not M_values:
+        return []
     deg_max = 2 * N - 1
-    n_max = suggested_n_max(M, deg_max)
-    log_h0, gammas = _stieltjes(M, n_max, deg_max)
-    log_h = np.empty(deg_max + 1)
-    log_h[0] = log_h0
-    log_h[1:] = log_h0 + 2.0 * np.cumsum(np.log(gammas[1:]))
-    return FiniteNModel(M=float(M), N=int(N), n_max=n_max, gamma=gammas, log_h=log_h)
+    n_max = [suggested_n_max(M, deg_max) for M in M_values]
+    log_h0, gammas = _stieltjes(M_values, n_max, deg_max)
+    models = []
+    for M, n_cut, l0, gamma in zip(M_values, n_max, log_h0, gammas):
+        log_h = np.empty(deg_max + 1)
+        log_h[0] = l0
+        log_h[1:] = l0 + 2.0 * np.cumsum(np.log(gamma[1:]))
+        models.append(FiniteNModel(M=M, N=int(N), n_max=n_cut, gamma=gamma.copy(), log_h=log_h))
+    return models
+
+
+def build_op_table(M, N):
+    """build_op_tables for one M."""
+    return build_op_tables([M], N)[0]
 
 
 def recurrence_table(M, deg_max):
@@ -203,7 +263,7 @@ def recurrence_table(M, deg_max):
     if not (math.isfinite(M) and M > 0.0 and deg_max >= 1):
         raise DomainError("need finite M > 0 and deg_max >= 1")
     n_max = max(suggested_n_max(M, deg_max), int(math.ceil(0.66 * deg_max + 60.0)))
-    return _stieltjes(M, n_max, deg_max)[1]
+    return _stieltjes([M], [n_max], deg_max)[1][0]
 
 
 # dropped terms of either G sum lie below e^-_LOG_TAIL of their envelope's peak
@@ -373,13 +433,13 @@ def g_function_vector(model, k, u_values):
 
 def g_product_sum(model, u_values):
     """sum_{k <= N} G_{2k-1}(M, u) G_{2k-1}(M, -u) over an array of u: the
-    tau-dependence of the joint density, from one G evaluation for all k and
-    both signs of u."""
+    tau-dependence of the joint density, from one G evaluation for all k on
+    the distinct values of u and -u (a grid symmetric about 0 needs each once)."""
     u_values = np.asarray(u_values, dtype=float)
-    g = g_function_vector(model, list(range(1, model.N + 1)),
-                          np.concatenate([u_values, -u_values]))
     n_u = len(u_values)
-    return np.sum(g[:, :n_u] * g[:, n_u:], axis=0)
+    both, col = np.unique(np.concatenate([u_values, -u_values]), return_inverse=True)
+    g = g_function_vector(model, list(range(1, model.N + 1)), both)
+    return np.sum(g[:, col[:n_u]] * g[:, col[n_u:]], axis=0)
 
 
 def log_cdf_max(M, N, model=None):
@@ -408,18 +468,17 @@ def edge_law_convergence(sol, N_values=(8, 16, 32), s_step=0.2):
     M = sqrt(2N) (1 + s / (2^{7/3} N^{2/3})) with F1(s).  Returns the rows
     (N, s, F_N(M), F1(s), |difference|) and the sup of the difference per N.
     """
+    s = np.arange(-4.0, 2.001, s_step)
+    f1 = tracy_widom_f1(s, sol)
     rows = []
     sups = {}
     for N in N_values:
-        sup = 0.0
-        for s in np.arange(-4.0, 2.001, s_step):
-            M = np.sqrt(2.0 * N) * (1.0 + s / (2.0 ** (7.0 / 3.0) * N ** (2.0 / 3.0)))
-            fn_val = cdf_max_finite_n(M, N)
-            f1_val = float(tracy_widom_f1(s, sol))
-            diff = abs(fn_val - f1_val)
-            rows.append((N, s, fn_val, f1_val, diff))
-            sup = max(sup, diff)
-        sups[N] = sup
+        M = np.sqrt(2.0 * N) * (1.0 + s / (2.0 ** (7.0 / 3.0) * N ** (2.0 / 3.0)))
+        fn = np.array([cdf_max_finite_n(m, N, model=model)
+                       for m, model in zip(M, build_op_tables(M, N))])
+        diff = np.abs(fn - f1)
+        rows.extend(zip([N] * len(s), s, fn, f1, diff))
+        sups[N] = float(diff.max())
     return rows, sups
 
 

@@ -22,8 +22,9 @@ those two sizes smaller, along its first row, at each grid time.
 Randomness is counter-based: sample i draws from Philox keyed by (seed, i),
 so results are reproducible and independent of batching order.
 
-The exact side integrates P_N(M, tau) once: one op table per Gauss-Legendre
-node in M gives F_N and the tau-row there, and the M-CDF is the polynomial
+The exact side integrates P_N(M, tau) once: the op tables of all
+Gauss-Legendre nodes in M come from one run of the Stieltjes kernel, each
+gives F_N and the tau-row there, and the M-CDF is the polynomial
 interpolant of F_N on those nodes.
 """
 
@@ -222,7 +223,8 @@ def exact_marginals(N):
     """Marginals of the exact finite-N joint density P_N(M, tau).
 
     M runs over M_NODES Gauss-Legendre nodes on [m_lo, m_cap], m_cap =
-    4 sqrt(2N); one op table per node gives F_N and the tau-row there.
+    4 sqrt(2N); the op tables of all nodes come from one build_op_tables
+    call, and each gives F_N and the tau-row (one G pass) there.
     The scan M = 0.5, 0.55, ... stops at the first M where log F_N > -40;
     m_lo is the last point before it at which log F_N <= -40, or
     build_op_table's floor 0.5 when the scan stops at once.  The mass
@@ -235,7 +237,7 @@ def exact_marginals(N):
     m_lo and 1 above m_cap.  cdf_tau is normalized; meta["raw_mass"] is the
     mass before that, so raw_mass + F_N(m_lo) = 1 up to the quadrature.
     """
-    from .finite_n import build_op_table, cdf_max_finite_n, jpdf_finite_n, log_cdf_max
+    from .finite_n import build_op_tables, cdf_max_finite_n, jpdf_finite_n, log_cdf_max
 
     m_cap = 4.0 * np.sqrt(2.0 * N)
     m_lo = 0.5
@@ -252,8 +254,7 @@ def exact_marginals(N):
     tau_grid = np.linspace(0.0, 1.0, TAU_POINTS)
     f_nodes = np.empty(M_NODES)
     pdf_tau = np.zeros((M_NODES, TAU_POINTS))
-    for i, M in enumerate(m_nodes):
-        model = build_op_table(M, N)
+    for i, (M, model) in enumerate(zip(m_nodes, build_op_tables(m_nodes, N))):
         f_nodes[i] = cdf_max_finite_n(M, N, model=model)
         pdf_tau[i, 1:-1] = jpdf_finite_n(M, tau_grid[1:-1], N, model=model)
 

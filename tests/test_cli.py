@@ -176,25 +176,66 @@ def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
     argv = ["finite-n", "-N", "2", "--m-min", "1.5", "--m-max", "2.5", "--m-step", "0.5",
             "-o", out]
     builds = []
-    real_build = finite_n.build_op_table
+    real_build = finite_n.build_op_tables
 
-    def counting(M, N, **kw):
-        builds.append((M, N))
-        return real_build(M, N, **kw)
-    monkeypatch.setattr(finite_n, "build_op_table", counting)
-    monkeypatch.setattr(cli, "build_op_table", counting)
+    def counting(M_values, N, **kw):
+        builds.extend((float(M), N) for M in M_values)
+        return real_build(M_values, N, **kw)
+    monkeypatch.setattr(finite_n, "build_op_tables", counting)
+    monkeypatch.setattr(cli, "build_op_tables", counting)
     assert main(argv) == 0
     # N = 8, 16 and 32 tables belong to the convergence report
     assert [b for b in builds if b[1] == 2] == [(1.5, 2), (2.0, 2), (2.5, 2)]
     monkeypatch.undo()
-    # the same rows, each evaluated with a fresh table
+    # the same rows as a fresh table per M with every tau in one call
     with open(out) as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 27
-    for M, tau, dens, cdf in rows:
-        M, tau = float(M), float(tau)
-        assert dens == format(float(finite_n.jpdf_finite_n(M, tau, 2)), ".17g")
-        assert cdf == format(float(finite_n.cdf_max_finite_n(M, 2)), ".17g")
+    for i in range(0, 27, 9):
+        M = float(rows[i][0])
+        taus = np.array([float(r[1]) for r in rows[i:i + 9]])
+        dens = finite_n.jpdf_finite_n(M, taus, 2)
+        for (_, _, d, cdf), ref in zip(rows[i:i + 9], dens):
+            assert d == format(float(ref), ".17g")
+            assert cdf == format(float(finite_n.cdf_max_finite_n(M, 2)), ".17g")
+
+
+def _refused_before_any_work(monkeypatch, tmp_path, argv):
+    from airymax import finite_n
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the entry checks")
+    monkeypatch.setattr(finite_n, "_stieltjes", fail)
+    monkeypatch.setattr(cli, "solve_hastings_mcleod", fail)
+    out = tmp_path / "fn.csv"
+    assert main(["finite-n", *argv, "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m-max", "inf"], ["--m-min", "nan"], ["--m-min", "-inf"], ["--m-step", "inf"],
+    ["--m-step", "nan"],
+])
+def test_finite_n_refuses_nonfinite_grid(tmp_path, monkeypatch, argv):
+    # --m-max inf exited 2 with numpy's "Maximum allowed size exceeded"
+    _refused_before_any_work(monkeypatch, tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m-min", "0.4"], ["--m-max", "8.1"], ["-N", "8", "--m-max", "17"],
+    ["-N", "0"], ["-N", "257"],
+])
+def test_finite_n_refuses_m_outside_the_table_range(tmp_path, monkeypatch, argv):
+    # 4 sqrt(2N) is 8 at N = 2 and 16 at N = 8
+    _refused_before_any_work(monkeypatch, tmp_path, argv)
+
+
+def test_finite_n_refuses_a_grid_above_the_row_ceiling(tmp_path, monkeypatch):
+    # --m-step 1e-9 tried to allocate 22.4 GiB and exited 2
+    _refused_before_any_work(monkeypatch, tmp_path, ["--m-step", "1e-9"])
+    span = 4.0 - 1.0
+    _refused_before_any_work(monkeypatch, tmp_path,
+                             ["--m-step", repr(span / cli.FINITE_N_MAX_ROWS)])
 
 
 @pytest.mark.parametrize("rows", [

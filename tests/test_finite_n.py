@@ -184,6 +184,49 @@ def test_model_for_another_m_or_n_raises():
     assert fn.jpdf_finite_n(3.0, 0.3, 3) == pytest.approx(0.0252, rel=2e-3)
 
 
+@pytest.mark.parametrize("N,M_values", [
+    (3, np.linspace(1.0, 9.5, 18)),
+    (32, 8.0 * (1.0 + np.arange(-4.0, 2.001, 0.4) / (2.0 ** (7.0 / 3.0) * 32.0 ** (2.0 / 3.0)))),
+    (64, np.linspace(8.0, 20.0, 7)),
+])
+def test_op_tables_match_one_row_builds(monkeypatch, N, M_values):
+    # blocks of three rows, so rows on both sides of block boundaries take part
+    n_max = max(fn.suggested_n_max(M, 2 * N - 1) for M in M_values)
+    monkeypatch.setattr(fn, "_HISTORY_BYTES", 3 * 8 * 2 * N * (n_max + 1))
+    batch = fn.build_op_tables(M_values, N)
+    assert [m.M for m in batch] == [float(M) for M in M_values]
+    for M, model in zip(M_values, batch):
+        alone = fn.build_op_table(M, N)
+        assert np.array_equal(model.gamma, alone.gamma, equal_nan=True), M
+        assert np.array_equal(model.log_h, alone.log_h), M
+        assert model.n_max == alone.n_max
+
+
+def test_op_tables_refuse_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(fn, "_stieltjes", fail)
+    for M_values in ([3.0, 8.1], [0.4, 3.0], [3.0, np.nan]):
+        with pytest.raises(DomainError):
+            fn.build_op_tables(M_values, 2)
+    assert fn.build_op_tables([], 2) == []
+
+
+def test_g_product_sum_on_asymmetric_and_repeated_u():
+    model = fn.build_op_table(3.0, 3)
+    u = np.array([0.3, -0.1, 0.3, 0.0, -0.45, 0.101, -0.3, 0.2])
+    g = fn.g_function_vector(model, [1, 2, 3], np.concatenate([u, -u]))
+    ref = np.sum(g[:, :len(u)] * g[:, len(u):], axis=0)
+    assert np.array_equal(fn.g_product_sum(model, u), ref)
+
+
+def test_jpdf_exactly_symmetric_on_a_symmetric_tau_grid():
+    taus = 0.5 + np.arange(-7, 8) / 16.0
+    for M, N in ((1.5, 1), (3.0, 2), (8.0, 3)):
+        dens = fn.jpdf_finite_n(M, taus, N)
+        assert np.array_equal(dens, dens[::-1]), (M, N)
+
+
 def test_jpdf_array_tau_matches_scalar():
     model = fn.build_op_table(2.5, 3)
     taus = np.array([[0.05, 0.3], [0.5, 0.95]])
