@@ -21,6 +21,9 @@ def main():
     st = extreme_stats(ens)
     print(f"N={args.walkers} steps={args.steps} samples={len(ens)} "
           f"method={ens.method}")
+    print(f"  windows refined = {ens.refined_fraction:.4f}   "
+          f"miss bound = {ens.miss_bound:.2g} (the chance that a maximum lay in "
+          "an unrefined window)")
     print(f"  E[M]    = {st.mean_max:.5f} +- {st.stderr_max:.5f}")
     print(f"  E[tau]  = {st.mean_tau:.5f} +- {st.stderr_tau:.5f}")
     print(f"  corr    = {st.correlation:+.4f} (exactly 0 in the continuum law)")

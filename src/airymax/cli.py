@@ -180,7 +180,8 @@ def cmd_mc(args):
           {"max_height": "sampled maximum of the top path",
            "argmax_time": "sampled argmax time"})
     print(f"n={len(ens)} seed={ens.seed} method={ens.method} "
-          f"acceptance={ens.acceptance_rate:.3g} mean_tau={summary.mean_tau:.4f} "
+          f"acceptance={ens.acceptance_rate:.3g} refined={ens.refined_fraction:.3g} "
+          f"miss_bound={ens.miss_bound:.2g} mean_tau={summary.mean_tau:.4f} "
           + " ".join(f"{k}={v:.4f}" for k, v in report.items()))
     return EXIT_OK
 

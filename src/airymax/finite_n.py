@@ -37,6 +37,9 @@ _ORTHOGONAL = _EPS ** 0.75             # overlap left by a reorthogonalization
 _MAX_PASSES = 4                        # projections per reorthogonalization
 _CANCELLED = 1e-2                      # gamma_k / gamma_{k-1} below this projects y
 _BREAKDOWN_SHARE = 1e-18               # less of the residual left is rounding noise
+# a residual norm below this loses relative precision: its squares flush to
+# zero or turn subnormal in the norm's dot product
+_RESOLVED_NORM = math.sqrt(np.finfo(float).tiny / _EPS)
 _DRIFT = 300.0                         # log2 range of the unreset mantissas
 _HISTORY_BYTES = 1 << 24               # stored wave functions of one block of rows
 
@@ -106,7 +109,10 @@ def _stieltjes_block(M, n_max, deg_max):
     a third pass can be needed.  Where less than _BREAKDOWN_SHARE of the
     residual remains it is rounding noise (Lanczos breakdown: the weight
     lives on too few lattice points for the degree) and PrecisionError is
-    raised.
+    raised.  So it is where the residual's norm falls below
+    sqrt(tiny / eps) ~ 1e-146, before or after a projection: its squared
+    norm is then not resolved in doubles (gamma_1 ~ sqrt(2)
+    exp(-pi^2 / (4 M^2)) is that small for M below about 0.086).
     """
     n_rows = len(M)
     widths = (n_max + 1).tolist()
@@ -137,6 +143,11 @@ def _stieltjes_block(M, n_max, deg_max):
         y = n * psi
         y -= g_k * psi_prev
         g = g_in = _column_norms(y, e, widths)
+        if not g_in.min() > _RESOLVED_NORM:
+            r = (~(g_in > _RESOLVED_NORM)).nonzero()[0][0]
+            raise PrecisionError(
+                f"Stieltjes breakdown at degree {k + 1} for M = {M[r]}: the residual "
+                f"norm {g_in[r]:.1e} is below the range where doubles resolve it")
         project = project_next | (g < _CANCELLED * g_k)
         p = (k + 1) % 2
         if k:
@@ -165,7 +176,7 @@ def _stieltjes_block(M, n_max, deg_max):
             else:
                 raise PrecisionError(f"Stieltjes reorthogonalization at degree {k + 1} "
                                      f"for M = {M[r]} did not converge")
-            if not g_r > _BREAKDOWN_SHARE * g_in[r]:
+            if not g_r > max(_BREAKDOWN_SHARE * g_in[r], _RESOLVED_NORM):
                 raise PrecisionError(
                     f"Stieltjes breakdown at degree {k + 1} for M = {M[r]}: projection "
                     f"left {g_r / g_in[r]:.1e} of the residual")

@@ -7,17 +7,32 @@ grid, the rotated walk is exactly a Gaussian random-walk excursion, by the
 cycle lemma applied to the exchangeable increments, but not a sampled
 Brownian excursion: its maximum is the bridge's discrete range, which
 misses the continuous range by about 2 beta sqrt(dt), beta ~ 0.5826 (the
-discrete-monitoring shift of Broadie-Glasserman-Kou at each end).
+discrete-monitoring shift of Broadie-Glasserman-Kou at each end).  Each
+N = 1 draw builds its whole fine path from its own stream, as before the
+matrix sampler went coarse to fine: the rotation needs the bridge's
+minimum as well as its maximum, and that monitoring bias already takes
+most of the N = 1 KS tolerance of the Monte-Carlo criterion, so new
+streams would re-draw a margin that only a bias correction can widen.
 
 For N = 2, 3 the sampler uses an exact-in-law matrix realization: the
 ordered positive eigenvalues of a (2N+1) x (2N+1) real antisymmetric matrix
 whose entries are independent scalar Brownian bridges evolve as N
-non-intersecting excursions (for N = 1 this is the classical |3-d Brownian
-bridge| = excursion identity; the fixed-time eigenvalue density reproduces
-the prod x^2 * Vandermonde(x^2)^2 slice law).  The squared eigenvalues are
-the roots of a polynomial whose k-th coefficient sums the squared Pfaffians
-of the 2k x 2k principal blocks; one recursion builds every Pfaffian from
-those two sizes smaller, along its first row, at each grid time.
+non-intersecting excursions (Katori-Tanemura, J. Math. Phys. 45, 2004; for
+N = 1 this is the classical |3-d Brownian bridge| = excursion identity; the
+fixed-time eigenvalue density reproduces the prod x^2 * Vandermonde(x^2)^2
+slice law).  The squared eigenvalues are the roots of a polynomial whose
+k-th coefficient sums the squared Pfaffians of the 2k x 2k principal
+blocks; one recursion builds every Pfaffian from those two sizes smaller,
+along its first row, at each grid time.
+
+Only the windows near the top path's maximum decide (M, tau_M), so the
+matrix path is sampled coarse to fine.  Every entry is drawn at about
+sqrt(60 steps) coarse points first.  The top eigenvalue is the spectral
+norm, so along a window it is at most the larger of its end values plus
+the norm of the entries' bridge deviations from their linear interpolation
+(_select_windows).  A window is filled in at the fine steps only where that
+bound could reach the coarse maximum, except with probability 1e-12; the
+other windows' bounds add up to the miss bound each ensemble reports.
 
 Randomness is counter-based: sample i draws from Philox keyed by (seed, i),
 so results are reproducible and independent of batching order.
@@ -28,6 +43,8 @@ gives F_N and the tau-row there, and the M-CDF is the polynomial
 interpolant of F_N on those nodes.
 """
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -45,6 +62,10 @@ TAU_POINTS = 241    # trapezoid points in tau of exact_marginals
 HIST_BINS = 24      # bins per axis of the extreme_stats histogram
 CHI2_CELLS = 4      # quantile cells per axis of the compare_to_exact chi^2
 CHI2_MIN_EXPECTED = 5.0   # least expected count per chi^2 cell
+COARSE_RATIO = 60.0       # C ~ sqrt(COARSE_RATIO steps) coarse windows per matrix path
+WINDOW_MISS = 1e-12       # bound on the chance that an unrefined window holds the maximum
+MISS_CUTOFF = 40.0        # windows past y* + this share one bound in the miss sum
+BLOCK_ELEMENTS = 1 << 15  # coarse entry values per block of matrix draws
 
 
 @dataclass(frozen=True)
@@ -57,6 +78,11 @@ class PathEnsemble:
     seed: int
     acceptance_rate: float       # 1.0: every draw is accepted
     attempts: int = 0
+    # bound on the chance that some draw's maximum lies in a window the
+    # sampler did not refine, and the share of windows it refined: 0 and 1
+    # for N = 1 (whole fine paths), NaN from a dump, which does not store them
+    miss_bound: float = math.nan
+    refined_fraction: float = math.nan
 
     def __len__(self):
         return len(self.samples)
@@ -132,13 +158,128 @@ def _top_eigenpath(a, dim):
     return np.sqrt(np.maximum(mu_top, 0.0))
 
 
-def _top_path(N, seed, index, steps):
-    """Top path of draw index: the cycle-shifted excursion for N = 1, the
-    top eigenvalue path of the antisymmetric bridge matrix for N = 2, 3."""
-    if N == 1:
-        return _excursion(seed, index, steps)
-    dim = 2 * N + 1
-    return _top_eigenpath(_bridges(_rng_for(seed, index), dim * (dim - 1) // 2, steps), dim)
+def _coarse_edges(steps):
+    """Fine-grid indices of the coarse points: C + 1 of them, C about
+    sqrt(COARSE_RATIO steps), so the C windows hold floor(steps / C) or
+    ceil(steps / C) fine steps each, whatever the divisors of steps."""
+    C = min(steps, int(round(math.sqrt(COARSE_RATIO * steps))))
+    return np.arange(C + 1) * steps // C
+
+
+def _window_log_bound(y, E, alpha):
+    """-log of a bound on P(sup_t |d(t)|^2 >= y T) for an E-dimensional
+    Brownian bridge d of duration T, any alpha in (0, 1/2).
+
+    d(t) = (1 - t/T) W(u) with u = t T/(T - t), so |d| >= r means
+    |W(u)| >= r (1 + u/T).  The positive martingale (alpha T/(u + alpha T))^{E/2}
+    exp(|W(u)|^2 / (2 (u + alpha T))), the mean of exp(theta.W - |theta|^2 u/2)
+    over theta ~ N(0, I/(alpha T)), starts at 1 and is at least exp(h(v)) at
+    such a crossing, v = u/T; the bound is exp(-min_v h), where
+    h(v) = y (1 + v)^2 / (2 (v + alpha)) - (E/2) log(1 + v/alpha).  The
+    minimizer is the root of a quadratic.
+    """
+    b = 2.0 * alpha * y - E
+    v = np.maximum((np.sqrt(b * b - 4.0 * y * ((2.0 * alpha - 1.0) * y - E * alpha)) - b)
+                   / (2.0 * y), 0.0)
+    return y * (1.0 + v) ** 2 / (2.0 * (v + alpha)) - 0.5 * E * np.log1p(v / alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_rule(E):
+    """(alpha, y*) with y* the least y whose _window_log_bound reaches
+    log(1 / WINDOW_MISS), over a grid of alpha; a window is refined when
+    its gap to the coarse maximum is at most sqrt(y* T)."""
+    alpha = np.arange(0.02, 0.5, 0.01)
+    lo, hi = np.zeros_like(alpha), np.full_like(alpha, 1e3)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        reached = _window_log_bound(mid, E, alpha) >= -math.log(WINDOW_MISS)
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+    best = int(np.argmin(hi))
+    return float(alpha[best]), float(hi[best])
+
+
+def _coarse_pass(dim, edges, rngs):
+    """Entries (E, draws, C + 1) of the bridge matrix at the coarse points
+    edges (fine indices, edges[-1] = steps), from E C normals of each draw's
+    stream, and their top eigenvalues (draws, C + 1).  At the coarse points
+    a bridge of steps fine steps is a Gaussian walk with window-length
+    variances, pinned at 1."""
+    E = dim * (dim - 1) // 2
+    C, steps = len(edges) - 1, edges[-1]
+    w = np.stack([rng.standard_normal((E, C)) for rng in rngs], axis=1)
+    w *= np.sqrt(np.diff(edges) / steps)
+    np.cumsum(w, axis=2, out=w)
+    coarse = np.zeros((E, len(rngs), C + 1))
+    np.multiply(w[:, :, -1:], -edges[1:] / steps, out=coarse[:, :, 1:])
+    coarse[:, :, 1:] += w
+    return coarse, _top_eigenpath(coarse.reshape(E, -1), dim).reshape(len(rngs), C + 1)
+
+
+def _select_windows(lam, edges, E):
+    """Windows to refine (draws, C) from the coarse top eigenvalues, and the
+    run's miss bound: the sum over the other windows of the bound that
+    their interior reaches the coarse maximum.
+
+    On a window of duration T the entries are their linear interpolation
+    plus bridges d from 0 to 0.  The norm is convex and the spectral norm is
+    at most the Frobenius norm over the upper triangle, so lam(t) <=
+    max(lam_a, lam_b) + |d(t)|: the interior can reach the coarse maximum
+    only if sup |d|^2 >= gap^2, gap = maximum - max(lam_a, lam_b).  At
+    the fine times d is a Brownian bridge sampled there, so its sup is at
+    most the continuous one that _window_log_bound bounds.
+    """
+    alpha, y_star = _window_rule(E)
+    T = np.diff(edges) / edges[-1]
+    gap = lam.max(axis=1)[:, None] - np.maximum(lam[:, :-1], lam[:, 1:])
+    y = gap * gap / T
+    refine = y <= y_star
+    # the bound falls with y; past y* + MISS_CUTOFF a window counts as that
+    near = ~refine & (y < y_star + MISS_CUTOFF)
+    far = np.count_nonzero(~refine) - np.count_nonzero(near)
+    miss = (np.sum(np.exp(-_window_log_bound(y[near], E, alpha)))
+            + far * math.exp(-_window_log_bound(y_star + MISS_CUTOFF, E, alpha)))
+    return refine, float(miss)
+
+
+def _fill_windows(lo, hi, z, lengths, steps):
+    """Interior points (windows, E, width - 1) of Gaussian random-walk
+    bridges of the given lengths (fine steps of variance 1/steps) from the
+    entries lo to hi (windows, E), built from normals z (windows, E, width),
+    width >= lengths; points past a window's own length are filler."""
+    s = np.cumsum(z, axis=2)
+    s *= math.sqrt(1.0 / steps)
+    end = s[np.arange(len(z)), :, lengths - 1]
+    inner = (np.arange(1, z.shape[2]) / lengths[:, None, None]) * (hi - lo - end)[:, :, None]
+    inner += s[:, :, :-1]
+    inner += lo[:, :, None]
+    return inner
+
+
+def _matrix_samples(dim, edges, rngs):
+    """(M, tau_M) of one draw per stream in rngs, the number of refined
+    windows and the miss bound; see sample_ensemble."""
+    E = dim * (dim - 1) // 2
+    steps, lengths = edges[-1], np.diff(edges)
+    width = int(lengths.max())
+    coarse, lam = _coarse_pass(dim, edges, rngs)
+    refine, miss = _select_windows(lam, edges, E)
+    draw, window = refine.nonzero()
+    z = np.concatenate([rng.standard_normal((k, E, width))
+                        for rng, k in zip(rngs, np.count_nonzero(refine, axis=1))])
+    inner = _fill_windows(coarse[:, draw, window].T, coarse[:, draw, window + 1].T,
+                          z, lengths[window], steps)
+    lam_in = _top_eigenpath(inner.transpose(1, 0, 2).reshape(E, -1), dim).reshape(len(draw), width - 1)
+    lam_in[np.arange(width - 1) >= lengths[window, None] - 1] = -np.inf
+    # candidates per draw: its coarse maximum and each refined window's;
+    # the first fine index of the largest value wins, as np.argmax would
+    first = lam.argmax(axis=1)
+    value = np.concatenate([lam[np.arange(len(rngs)), first], lam_in.max(axis=1)])
+    index = np.concatenate([edges[first], edges[window] + 1 + lam_in.argmax(axis=1)])
+    owner = np.concatenate([np.arange(len(rngs)), draw])
+    order = np.lexsort((index, -value, owner))
+    head = order[np.searchsorted(owner[order], np.arange(len(rngs)))]
+    return np.column_stack([value[head], index[head] / steps]), len(draw), miss
 
 
 def _check_walkers(N, steps):
@@ -149,25 +290,74 @@ def _check_walkers(N, steps):
 
 
 def sample_ensemble(N, steps, n_samples, seed):
-    """Draw n_samples (M, tau_M) pairs of the top path; see module docstring.
+    """Draw n_samples (M, tau_M) pairs of the top path on the grid of steps
+    fine steps; see the module docstring.
 
-    N = 1 uses the cycle shift, N = 2, 3 the matrix realization; any other N,
-    and n_samples < 1, raise DomainError at entry.  Non-finite samples raise
-    PrecisionError.
+    N = 1 uses the cycle shift, one fine path per draw, with the streams
+    and samples it always had (the module docstring says why).  N = 2, 3
+    use the matrix realization coarse to fine, in blocks of draws of about
+    BLOCK_ELEMENTS coarse entries:
+
+    - Coarse pass: every entry at C + 1 coarse points (_coarse_edges),
+      C ~ sqrt(COARSE_RATIO steps), and the top eigenvalue there.
+    - Window test: a window is refined iff its gap, the coarse maximum
+      minus the larger top eigenvalue at its ends, is at most sqrt(y* T),
+      T its duration.  Its interior can pass the coarse maximum only if
+      the E bridge deviations reach gap^2 in squared norm; by a martingale
+      bound (_window_log_bound) an unrefined window does so with
+      probability at most WINDOW_MISS.  y* is 21.7 for N = 2 (E = 10) and
+      27.8 for N = 3 (E = 21); a Chernoff bound on the sum of the E
+      entries' squared suprema, (2 sqrt 2)^E exp(-y), would need 38.0 and
+      49.5: 92 refined windows of 693 per N = 2 draw at 8,000 steps,
+      against 60.
+    - Refinement: each selected window is filled with Gaussian random-walk
+      bridges between its end entries, which is the fine-grid law given the
+      coarse points, and (M, tau_M) is the max and first argmax over the
+      coarse points and the refined interiors.
+
+    Draw i reads Philox stream (seed, i): its E C coarse normals first,
+    then E x max-window-length normals per selected window in ascending
+    order.  Selection depends on the coarse values alone, so the law is the
+    fine-grid law up to the miss bound, and a draw's sample does not depend
+    on which other draws share its block.  The ensemble's miss_bound sums
+    the bounds of every unrefined window of every draw (about 1.2e-12 per
+    N = 2 draw at 8,000 steps), and refined_fraction is the share of
+    windows refined; N = 1 reports 0 and 1.
+
+    Any other N, steps < 2000 and n_samples < 1 raise DomainError at entry.
+    Non-finite samples raise PrecisionError; every N = 3 draw still does,
+    since the top eigenvalue is 0/0 at the coarse point t = 0.
     """
     _check_walkers(N, steps)
     if n_samples < 1:
         raise DomainError("n_samples >= 1 required")
-    samples = np.empty((n_samples, 2))
-    for i in range(n_samples):
-        path = _top_path(N, seed, i, steps)
-        j = int(np.argmax(path))
-        samples[i] = path[j], j / steps
+    if N == 1:
+        samples = np.empty((n_samples, 2))
+        for i in range(n_samples):
+            path = _excursion(seed, i, steps)
+            j = int(np.argmax(path))
+            samples[i] = path[j], j / steps
+        refined, miss = 1.0, 0.0
+    else:
+        dim = 2 * N + 1
+        E = dim * (dim - 1) // 2
+        edges = _coarse_edges(steps)
+        block = max(1, BLOCK_ELEMENTS // (E * len(edges)))
+        parts, n_refined, miss = [], 0, 0.0
+        for start in range(0, n_samples, block):
+            rngs = [_rng_for(seed, i) for i in range(start, min(start + block, n_samples))]
+            part, count, part_miss = _matrix_samples(dim, edges, rngs)
+            parts.append(part)
+            n_refined += count
+            miss += part_miss
+        samples = np.concatenate(parts)
+        refined = n_refined / (n_samples * (len(edges) - 1))
     bad = np.count_nonzero(~np.all(np.isfinite(samples), axis=1))
     if bad:
         raise PrecisionError(f"{bad} of {n_samples} samples are not finite")
     return PathEnsemble(N=N, steps=steps, samples=samples, seed=int(seed),
-                        acceptance_rate=1.0, attempts=n_samples)
+                        acceptance_rate=1.0, attempts=n_samples,
+                        miss_bound=miss, refined_fraction=refined)
 
 
 @dataclass(frozen=True)

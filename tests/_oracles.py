@@ -395,3 +395,22 @@ def transport_profile_sequential(w_values, sol, s_lo=-10.5, s_hi=12.0, step=0.00
     return FProfile(s_grid=s_desc[::-1].copy(), w_values=w_arr,
                     f=out_f[::-1].copy(), f_s=out_fs[::-1].copy(),
                     f_ss=out_fss[::-1].copy())
+
+
+def matrix_samples_full_path(N, steps, n_samples, seed):
+    """(M, tau_M) of the N = 2, 3 matrix realization from the whole fine
+    path of every draw: all E = dim (dim - 1)/2 entries as bridges of steps
+    normals from Philox stream (seed, i), the top eigenvalue at every grid
+    time, and its max and first argmax.  This is the sampler
+    airymax.mc.sample_ensemble ran before it went coarse to fine; its
+    streams differ, its law is the same."""
+    from airymax import mc
+
+    dim = 2 * N + 1
+    samples = np.empty((n_samples, 2))
+    for i in range(n_samples):
+        a = mc._bridges(mc._rng_for(seed, i), dim * (dim - 1) // 2, steps)
+        path = mc._top_eigenpath(a, dim)
+        j = int(np.argmax(path))
+        samples[i] = path[j], j / steps
+    return samples

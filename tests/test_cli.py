@@ -85,6 +85,14 @@ def test_mc_subcommand(tmp_path):
     assert len(load_ensemble(dump)) == 200
 
 
+def test_mc_reports_refined_windows_and_miss_bound(tmp_path, capsys):
+    assert main(["mc", "-N", "2", "--steps", "2000", "--samples", "50",
+                 "-o", str(tmp_path / "mc.csv")]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
+    assert 0.0 < float(fields["refined"]) < 1.0
+    assert 0.0 < float(fields["miss_bound"]) <= 5e-8
+
+
 def test_mc_refuses_four_walkers(tmp_path):
     # samplers exist for N = 1, 2, 3 only; the refusal is a usage error
     out = tmp_path / "mc.csv"

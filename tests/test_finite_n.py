@@ -59,6 +59,20 @@ def test_recurrence_table_refuses_unstable_degrees():
         fn.recurrence_table(1.0, 40)
 
 
+@pytest.mark.parametrize("M, degree", [(1e-3, 1), (0.05, 1), (0.1, 3)])
+def test_recurrence_table_tiny_m_breaks_down_cleanly(M, degree):
+    # gamma_1 ~ sqrt(2) exp(-pi^2/(4 M^2)) is below the range of doubles at
+    # M = 1e-3 and 0.05, and gamma_3 is at M = 0.1; their residual norms were
+    # divided by zero, with RuntimeWarnings and a "did not converge" error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError,
+                           match=f"breakdown at degree {degree} for M = {M}"):
+            fn.recurrence_table(M, 3)
+        gam = fn.recurrence_table(0.2, 3)
+    assert np.all(np.isfinite(gam[1:])) and np.all(gam[1:] > 0.0)
+
+
 @pytest.mark.parametrize("M, deg_max", [(np.nan, 10), (np.inf, 10), (-5.0, 10), (0.0, 10),
                                         (5.0, 0)])
 def test_recurrence_table_entry_checks(M, deg_max):

@@ -6,6 +6,124 @@ import pytest
 from airymax import finite_n, mc
 from airymax.errors import DomainError, PrecisionError, StatisticsError
 
+from _oracles import matrix_samples_full_path
+
+
+def _dkw(n, alpha=1e-6):
+    # sup |F_n - F| exceeds this with probability at most alpha
+    return np.sqrt(np.log(2.0 / alpha) / (2.0 * n))
+
+
+def _ks_two_sample(x, y):
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(np.sort(x), grid, side="right") / len(x)
+    fy = np.searchsorted(np.sort(y), grid, side="right") / len(y)
+    return float(np.max(np.abs(fx - fy)))
+
+
+def _completed_paths(steps, n, seed, fill_seed):
+    """(M, tau_M) of the whole fine path of draws 0..n-1 of the N = 2
+    sampler: its coarse points and refined windows as sample_ensemble draws
+    them from stream (seed, i), and every window it did not refine filled
+    from the independent stream (fill_seed, i).  Also returns how many
+    maxima fell inside a refined window rather than on a coarse point."""
+    dim, E = 5, 10
+    edges = mc._coarse_edges(steps)
+    lengths = np.diff(edges)
+    C, width = len(lengths), int(lengths.max())
+    pos = edges[:-1, None] + 1 + np.arange(width - 1)
+    keep = np.arange(width - 1) < lengths[:, None] - 1
+    out, interior = np.empty((n, 2)), 0
+    for i in range(n):
+        rng = mc._rng_for(seed, i)
+        coarse, lam = mc._coarse_pass(dim, edges, [rng])
+        sel = mc._select_windows(lam, edges, E)[0][0]
+        z = np.empty((C, E, width))
+        z[sel] = rng.standard_normal((np.count_nonzero(sel), E, width))
+        z[~sel] = mc._rng_for(fill_seed, i).standard_normal((C - np.count_nonzero(sel), E, width))
+        inner = mc._fill_windows(coarse[:, 0, :-1].T, coarse[:, 0, 1:].T, z, lengths, steps)
+        full = np.empty((E, steps + 1))
+        full[:, edges] = coarse[:, 0]
+        full[:, pos[keep]] = inner.transpose(1, 0, 2)[:, keep]
+        path = mc._top_eigenpath(full, dim)
+        j = int(np.argmax(path))
+        out[i] = path[j], j / steps
+        interior += j not in edges
+    return out, interior
+
+
+@pytest.mark.parametrize("steps", [2000, 8000])
+def test_coarse_to_fine_misses_no_maximum(steps):
+    # the unrefined windows, filled from another stream, never hold the
+    # maximum: the sampler's (M, tau) is that of the completed fine path
+    n = 1000
+    ens = mc.sample_ensemble(2, steps, n, seed=61)
+    full, interior = _completed_paths(steps, n, seed=61, fill_seed=62)
+    assert np.array_equal(ens.samples, full)
+    assert interior >= n // 2        # the refined windows decide most draws
+    assert 0.0 < ens.miss_bound <= 1e-9 * n
+    assert 0.0 < ens.refined_fraction < 0.25
+
+
+def test_prime_steps():
+    # 2003 has no divisor: windows of 5 and 6 fine steps
+    steps = 2003
+    assert set(np.diff(mc._coarse_edges(steps))) == {5, 6}
+    ens = mc.sample_ensemble(2, steps, 200, seed=63)
+    full, _ = _completed_paths(steps, 200, seed=63, fill_seed=64)
+    assert np.array_equal(ens.samples, full)
+
+
+def test_coarse_to_fine_matches_full_path_oracle():
+    # two-sample KS against the whole-path sampler: each empirical CDF is
+    # within its DKW bound at alpha = 1e-6 of the common law
+    n = 3000
+    new = mc.sample_ensemble(2, 2000, n, seed=65).samples
+    old = matrix_samples_full_path(2, 2000, n, seed=66)
+    for column in (0, 1):
+        assert _ks_two_sample(new[:, column], old[:, column]) <= 2.0 * _dkw(n)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_samples_do_not_depend_on_blocks(monkeypatch, offset):
+    # block - 1, block and block + 1 draws against a run of one draw per block
+    steps = 2000
+    block = mc.BLOCK_ELEMENTS // (10 * len(mc._coarse_edges(steps)))
+    n = block + offset
+    blocked = mc.sample_ensemble(2, steps, n, seed=67)
+    assert np.array_equal(blocked.samples, mc.sample_ensemble(2, steps, 2 * block + 1, seed=67).samples[:n])
+    monkeypatch.setattr(mc, "BLOCK_ELEMENTS", 1)
+    single = mc.sample_ensemble(2, steps, n, seed=67)
+    assert np.array_equal(blocked.samples, single.samples)
+    assert single.refined_fraction == blocked.refined_fraction
+    assert single.miss_bound == pytest.approx(blocked.miss_bound, rel=1e-12)
+
+
+def test_window_rule_reaches_its_bound():
+    # y* is where the martingale bound reaches 1e-12, below the Chernoff
+    # bound (2 sqrt 2)^E exp(-y) on the sum of the entries' squared suprema
+    for E in (10, 21):
+        alpha, y_star = mc._window_rule(E)
+        assert mc._window_log_bound(y_star, E, alpha) >= np.log(1e12)
+        assert mc._window_log_bound(y_star - 1e-6, E, alpha) < np.log(1e12)
+        assert y_star < E * np.log(2.0 * np.sqrt(2.0)) + np.log(1e12)
+
+
+def test_window_bound_covers_simulated_bridges():
+    # P(sup |d|^2 >= y T) for a 10-dimensional random-walk bridge, against
+    # the bound at y = 5 and 6 (it is about twice the simulated value)
+    rng = np.random.default_rng(5)
+    sup = []
+    for _ in range(4):
+        w = np.cumsum(rng.standard_normal((500, 200, 10)) / np.sqrt(200), axis=1)
+        d = w - np.arange(1, 201)[None, :, None] / 200 * w[:, -1:, :]
+        sup.append(np.max(np.sum(d * d, axis=2), axis=1))
+    sup = np.concatenate(sup)
+    alpha, _ = mc._window_rule(10)
+    for y in (5.0, 6.0):
+        bound = np.exp(-mc._window_log_bound(y, 10, alpha))
+        assert np.mean(sup >= y) + 3.0 * np.sqrt(bound / len(sup)) <= bound
+
 
 def test_determinism_and_order_independence():
     a = mc.sample_ensemble(1, 2000, 500, seed=42)
@@ -19,7 +137,7 @@ def test_determinism_and_order_independence():
 
 @pytest.mark.parametrize("args, digest", [
     ((1, 2000, 50, 42), "e9cc0a20654e8f35d6fd59ffcff70932312e67945e5d0e40622dc6b1a89bdfb2"),
-    ((2, 2000, 20, 9), "792ca019da5a7160f642883a4c70490617b5000114ac814b5cb37076c50abcd2"),
+    ((2, 2000, 20, 9), "633f56141650e9bc14d7ed35fc9d2f1f9b70cdb3a239cc5f8c22cfb87de76a2d"),
 ])
 def test_samples_match_frozen_fingerprints(args, digest):
     # sha256 of the little-endian samples; any change to the Philox streams
@@ -154,8 +272,8 @@ def test_n3_samples_are_finite():
 
 def test_non_finite_samples_raise(monkeypatch):
     # a NaN path (as every N = 3 path is today) is refused, not returned
-    monkeypatch.setattr(mc, "_top_path",
-                        lambda N, seed, i, steps: np.full(steps + 1, np.nan if i % 2 else 1.0))
+    monkeypatch.setattr(mc, "_excursion",
+                        lambda seed, i, steps: np.full(steps + 1, np.nan if i % 2 else 1.0))
     with pytest.raises(PrecisionError, match="2 of 4 samples are not finite"):
         mc.sample_ensemble(1, 2000, 4, seed=1)
 
@@ -177,7 +295,7 @@ def test_parameter_guards(monkeypatch):
     def no_draws(*args):
         raise AssertionError("sample_ensemble drew paths")
 
-    monkeypatch.setattr(mc, "_top_path", no_draws)
+    monkeypatch.setattr(mc, "_rng_for", no_draws)
     for N in (0, 4, 5):
         with pytest.raises(DomainError):
             mc.sample_ensemble(N, 2000, 10, seed=1)
