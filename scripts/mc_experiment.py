@@ -19,8 +19,7 @@ def main():
 
     ens = sample_ensemble(args.walkers, args.steps, args.samples, args.seed)
     st = extreme_stats(ens)
-    print(f"N={args.walkers} steps={args.steps} samples={len(ens)} "
-          f"method={ens.method}")
+    print(f"N={args.walkers} steps={args.steps} samples={len(ens)}")
     print(f"  windows refined = {ens.refined_fraction:.4f}   "
           f"miss bound = {ens.miss_bound:.2g} (the chance that a maximum lay in "
           "an unrefined window)")

@@ -510,7 +510,7 @@ class JointDensityGrid:
     w_grid: np.ndarray
     values: np.ndarray                 # (n_s, n_w)
     normalization_estimate: float
-    painleve: object = field(repr=False, default=None, compare=False)
+    painleve: object = field(repr=False, compare=False)
 
 
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
@@ -549,8 +549,6 @@ def marginal_w(w, grid):
     core[on] = simpson(grid.values[:, j[on]], x=grid.s_grid, axis=0)
     off = w_arr[~on]
     if len(off):
-        if grid.painleve is None:
-            raise RangeError(f"w = {off[0]} not on the grid and no solver attached")
         core[~on] = simpson(_density_columns(off, grid.painleve, grid.s_grid),
                             x=grid.s_grid, axis=0)
     s_tail = np.linspace(grid.s_grid[-1], grid.s_grid[-1] + 10.0, 801)

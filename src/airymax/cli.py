@@ -14,8 +14,7 @@ import numpy as np
 
 from . import airy2, fredholm, mc
 from .errors import DomainError
-from .finite_n import (build_op_tables, cdf_max_finite_n, check_table_domain,
-                       edge_law_convergence, jpdf_finite_n, large_deviation_eval)
+from .finite_n import check_table_domain, edge_law_convergence, large_deviation_eval, law_table
 from .painleve import export_table, solve_hastings_mcleod
 
 SCHEMA_VERSION = 1
@@ -129,10 +128,8 @@ def cmd_finite_n(args):
     m_grid = np.round(np.arange(m_min, m_max + m_step / 2, m_step), 12)
     taus = np.round(np.arange(0.1, 0.91, 0.1), 12)
     rows = []
-    for M, model in zip(m_grid, build_op_tables(m_grid, N)):
-        cdf = cdf_max_finite_n(M, N, model=model)
-        dens = jpdf_finite_n(M, taus, N, model=model)
-        rows.extend((M, tau, d, cdf) for tau, d in zip(taus, dens))
+    for M, log_f, dens in zip(m_grid, *law_table(m_grid, N, taus)):
+        rows.extend((M, tau, d, math.exp(log_f)) for tau, d in zip(taus, dens))
     _emit(args, ["M", "tau", "joint_density", "cdf_max"], rows, {
         "joint_density": f"exact joint density at N = {N}",
         "cdf_max": "cumulative distribution of the maximal height"})
@@ -179,8 +176,7 @@ def cmd_mc(args):
     _emit(args, ["max_height", "argmax_time", "seed"], rows,
           {"max_height": "sampled maximum of the top path",
            "argmax_time": "sampled argmax time"})
-    print(f"n={len(ens)} seed={ens.seed} method={ens.method} "
-          f"acceptance={ens.acceptance_rate:.3g} refined={ens.refined_fraction:.3g} "
+    print(f"n={len(ens)} seed={ens.seed} refined={ens.refined_fraction:.3g} "
           f"miss_bound={ens.miss_bound:.2g} mean_tau={summary.mean_tau:.4f} "
           + " ".join(f"{k}={v:.4f}" for k, v in report.items()))
     return EXIT_OK

@@ -453,23 +453,43 @@ def g_product_sum(model, u_values):
     return np.sum(g[:, col[:n_u]] * g[:, col[n_u:]], axis=0)
 
 
-def log_cdf_max(M, N, model=None):
-    """log F_N(M); the h-product is accumulated in log space.  A model
-    built for another (M, N) raises DomainError."""
-    if model is None:
-        model = build_op_table(M, N)
-    if model.M != M or model.N != N:
-        raise DomainError(f"model built for (M, N) = ({model.M}, {model.N}), not ({M}, {N})")
-    total = math.lgamma(N + 1) - sum(math.lgamma(2.0 + j) + math.lgamma(1.5 + j) for j in range(N))
-    total += (2 * N * N + N) * math.log(math.pi) - (N * N + N / 2.0) * math.log(2.0)
-    total -= (2 * N * N + N) * math.log(M)
-    total += float(sum(model.log_h[2 * i - 1] for i in range(1, N + 1)))
-    return min(total, 0.0)
+def law_table(M_values, N, tau=()):
+    """The exact finite-N law on a grid: log F_N(M) for each M, shape (n_M,),
+    and the joint density P_N(M, tau), shape (n_M,) + shape of tau.
+
+    Every M and tau is checked before any table is built: tau must lie in
+    (0, 1), N in [1, 256] and M in [0.5, 4 sqrt(2N)].  The op tables of all M
+    come from one build_op_tables call, and each row of P_N from one G pass
+    on its table; an empty tau gives no G pass.  The h-product of F_N is
+    accumulated in log space.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((tau > 0.0) & (tau < 1.0)):
+        raise DomainError("tau must lie in (0, 1)")
+    models = build_op_tables(M_values, N)
+    log_f = np.empty(len(models))
+    dens = np.empty((len(models),) + tau.shape)
+    const = math.lgamma(N + 1) - sum(math.lgamma(2.0 + j) + math.lgamma(1.5 + j) for j in range(N))
+    const += (2 * N * N + N) * math.log(math.pi) - (N * N + N / 2.0) * math.log(2.0)
+    for i, model in enumerate(models):
+        M = model.M
+        total = const - (2 * N * N + N) * math.log(M)
+        total += float(sum(model.log_h[1::2]))
+        log_f[i] = min(total, 0.0)
+        if tau.size:
+            acc = g_product_sum(model, tau.ravel() - 0.5).reshape(tau.shape)
+            dens[i] = math.exp(log_f[i]) * math.pi ** 2 / (2.0 * M ** 3) * acc
+    return log_f, dens
 
 
-def cdf_max_finite_n(M, N, model=None):
+def log_cdf_max(M, N):
+    """log F_N(M), by law_table."""
+    return float(law_table([M], N)[0][0])
+
+
+def cdf_max_finite_n(M, N):
     """F_N(M): cumulative distribution of the maximal height."""
-    return math.exp(log_cdf_max(M, N, model=model))
+    return math.exp(log_cdf_max(M, N))
 
 
 def edge_law_convergence(sol, N_values=(8, 16, 32), s_step=0.2):
@@ -485,30 +505,19 @@ def edge_law_convergence(sol, N_values=(8, 16, 32), s_step=0.2):
     sups = {}
     for N in N_values:
         M = np.sqrt(2.0 * N) * (1.0 + s / (2.0 ** (7.0 / 3.0) * N ** (2.0 / 3.0)))
-        fn = np.array([cdf_max_finite_n(m, N, model=model)
-                       for m, model in zip(M, build_op_tables(M, N))])
+        fn = np.array([math.exp(v) for v in law_table(M, N)[0]])
         diff = np.abs(fn - f1)
         rows.extend(zip([N] * len(s), s, fn, f1, diff))
         sups[N] = float(diff.max())
     return rows, sups
 
 
-def jpdf_finite_n(M, tau, N, model=None):
-    """P_N(M, tau): joint density of the maximum and its position.
-
-    tau is a scalar (returns a float) or an array (returns an array of its
-    shape, from one G pass).  A model built for another (M, N) raises
-    DomainError.
-    """
-    tau_arr = np.asarray(tau, dtype=float)
-    if not np.all((tau_arr > 0.0) & (tau_arr < 1.0)):
-        raise DomainError("tau must lie in (0, 1)")
-    if model is None:
-        model = build_op_table(M, N)
-    cdf = cdf_max_finite_n(M, N, model=model)
-    acc = g_product_sum(model, tau_arr.ravel() - 0.5).reshape(tau_arr.shape)
-    dens = cdf * math.pi ** 2 / (2.0 * M ** 3) * acc
-    return float(dens) if tau_arr.ndim == 0 else dens
+def jpdf_finite_n(M, tau, N):
+    """P_N(M, tau): joint density of the maximum and its position, by
+    law_table.  tau is a scalar (returns a float) or an array (returns an
+    array of its shape, from one G pass)."""
+    dens = law_table([M], N, tau)[1][0]
+    return float(dens) if dens.ndim == 0 else dens
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import finite_n
 from .errors import DomainError, PrecisionError, StatisticsError
 from .special import legendre_nodes
 
@@ -413,8 +414,7 @@ def exact_marginals(N):
     """Marginals of the exact finite-N joint density P_N(M, tau).
 
     M runs over M_NODES Gauss-Legendre nodes on [m_lo, m_cap], m_cap =
-    4 sqrt(2N); the op tables of all nodes come from one build_op_tables
-    call, and each gives F_N and the tau-row (one G pass) there.
+    4 sqrt(2N); one law_table call gives F_N and the tau-row there.
     The scan M = 0.5, 0.55, ... stops at the first M where log F_N > -40;
     m_lo is the last point before it at which log F_N <= -40, or
     build_op_table's floor 0.5 when the scan stops at once.  The mass
@@ -427,13 +427,11 @@ def exact_marginals(N):
     m_lo and 1 above m_cap.  cdf_tau is normalized; meta["raw_mass"] is the
     mass before that, so raw_mass + F_N(m_lo) = 1 up to the quadrature.
     """
-    from .finite_n import build_op_tables, cdf_max_finite_n, jpdf_finite_n, log_cdf_max
-
     m_cap = 4.0 * np.sqrt(2.0 * N)
     m_lo = 0.5
     for m_try in np.arange(0.5, 0.25 * m_cap, 0.05):
         try:
-            if log_cdf_max(m_try, N) > -40.0:
+            if finite_n.log_cdf_max(m_try, N) > -40.0:
                 break
         except (DomainError, PrecisionError):
             continue
@@ -441,12 +439,14 @@ def exact_marginals(N):
     t_quad, w_quad = legendre_nodes(M_NODES)
     m_nodes = 0.5 * (m_lo + m_cap) + 0.5 * (m_cap - m_lo) * t_quad
     m_weights = 0.5 * (m_cap - m_lo) * w_quad
-    tau_grid = np.linspace(0.0, 1.0, TAU_POINTS)
-    f_nodes = np.empty(M_NODES)
+    # symmetric in floating point: tau - 1/2 on the left half is exactly minus
+    # its mirror's, so G runs once per |tau - 1/2| and the density is symmetric
+    right = 0.5 + np.arange(TAU_POINTS // 2 + 1) / (TAU_POINTS - 1)
+    tau_grid = np.concatenate([1.0 - right[:0:-1], right])
+    log_f, rows = finite_n.law_table(m_nodes, N, tau_grid[1:-1])
+    f_nodes = np.array([math.exp(v) for v in log_f])
     pdf_tau = np.zeros((M_NODES, TAU_POINTS))
-    for i, (M, model) in enumerate(zip(m_nodes, build_op_tables(m_nodes, N))):
-        f_nodes[i] = cdf_max_finite_n(M, N, model=model)
-        pdf_tau[i, 1:-1] = jpdf_finite_n(M, tau_grid[1:-1], N, model=model)
+    pdf_tau[:, 1:-1] = rows
 
     # Legendre coefficients of the interpolant; the Gauss rule is exact on
     # (interpolant x P_k), of degree <= 2 M_NODES - 2
@@ -480,8 +480,6 @@ def compare_to_exact(ensemble):
     """KS statistics for both marginals and a chi^2 on the 2-d histogram
     against the exact finite-N density (N = 1, 2, 3)."""
     _check_walkers(ensemble.N, ensemble.steps)
-    from .finite_n import build_op_table, jpdf_finite_n
-
     cdf_m, cdf_tau, meta = exact_marginals(ensemble.N)
     ks_m = ks_statistic(ensemble.maxima, cdf_m)
     ks_t = ks_statistic(ensemble.argmax_times, cdf_tau)
@@ -495,21 +493,21 @@ def compare_to_exact(ensemble):
     counts, _, _ = np.histogram2d(ensemble.maxima, ensemble.argmax_times,
                                   bins=(edges_m, edges_t))
 
-    # expected cell masses by 4 x 4 midpoint quadrature of the exact jpdf:
-    # one op table per M midpoint serves every tau midpoint
+    # expected cell masses by 4 x 4 midpoint quadrature of the exact jpdf;
+    # midpoints outside the op tables' M range [0.5, 4 sqrt(2N)] hold
+    # density ~ e^-40 and contribute 0
     tt = np.array([np.linspace(edges_t[j], edges_t[j + 1], 9)[1::2] for j in range(CHI2_CELLS)])
     inner = (tt > 0.0) & (tt < 1.0)
+    mids = np.array([np.linspace(edges_m[i], edges_m[i + 1], 9)[1::2] for i in range(CHI2_CELLS)])
+    in_range = (mids >= 0.5) & (mids <= 4.0 * math.sqrt(2.0 * ensemble.N) + 1e-9)
+    dens = np.zeros(mids.shape + tt.shape)
+    dens[in_range[..., None, None] & inner] = finite_n.law_table(
+        mids[in_range], ensemble.N, tt[inner])[1].ravel()
     expected = np.empty_like(counts)
     for i in range(CHI2_CELLS):
         cell = np.zeros(CHI2_CELLS)
-        for M in np.linspace(edges_m[i], edges_m[i + 1], 9)[1::2]:
-            dens = np.zeros_like(tt)
-            try:
-                model = build_op_table(M, ensemble.N)
-                dens[inner] = jpdf_finite_n(M, tt[inner], ensemble.N, model=model)
-            except (DomainError, PrecisionError):
-                continue  # density ~ e^-40 there
-            cell += dens.sum(axis=1)
+        for row in dens[i]:
+            cell += row.sum(axis=1)
         area = (edges_m[i + 1] - edges_m[i]) * (edges_t[1:] - edges_t[:-1]) / 16.0
         expected[i] = cell * area * n
     if np.any(expected < CHI2_MIN_EXPECTED):

@@ -76,79 +76,40 @@ class _Tridiagonal:
     diagonal diag and super-diagonal upper (1-d arrays of lengths n - 1, n
     and n - 1), for repeated solves.
 
-    A port of LAPACK gtsv: Gaussian elimination that interchanges rows i
-    and i + 1 where |pivot_i| < |lower_i|, then back substitution, with
-    gtsv's operations in gtsv's order, so a solve equals
-    scipy.linalg.solve_banded((1, 1), ...) bit for bit.  A zero pivot, where
-    gtsv reports a singular matrix, raises SolverFailureError.  Without
-    interchanges (every diagonally dominant matrix) elimination and
-    substitution each run as one list comprehension, which skips gtsv's
-    product with the zero fill-in (it could only flip the sign of a zero);
-    the loops of the general case take about twice as long.
+    A port of LAPACK gtsv for matrices that need no row interchanges (every
+    diagonally dominant one): Gaussian elimination and back substitution,
+    each one list comprehension with gtsv's operations in gtsv's order, so a
+    solve equals scipy.linalg.solve_banded((1, 1), ...) bit for bit.  It
+    skips gtsv's product with the zero fill-in, which could only flip the
+    sign of a zero.  Where gtsv would interchange rows i and i + 1
+    (|pivot_i| < |lower_i|), and at a zero pivot, it raises
+    SolverFailureError.
     """
 
     def __init__(self, lower, diag, upper):
         self.upper = upper.tolist()
-        self.interchanged = None
         p = float(diag[0])
         try:
             self.pivots = [p] + [p := d - l / p * u
                                  for l, d, u in zip(lower.tolist(), diag[1:].tolist(), self.upper)]
-            pivots = np.array(self.pivots, dtype=float)
-            plain = bool(np.all(np.abs(pivots[:-1]) >= np.abs(lower)) and np.all(pivots != 0.0))
         except ZeroDivisionError:
-            plain = False
-        if plain:
-            self.factors = (lower / pivots[:-1]).tolist()
-        else:
-            self._eliminate_with_interchanges(lower.tolist(), diag.tolist())
-
-    def _eliminate_with_interchanges(self, lower, d):
-        n = len(d)
-        du = self.upper
-        self.factors, self.interchanged = [0.0] * (n - 1), [False] * (n - 1)
-        self.fill = [0.0] * n           # second super-diagonal, from interchanges
-        for i in range(n - 1):
-            if abs(d[i]) >= abs(lower[i]):
-                if d[i] == 0.0:
-                    raise SolverFailureError(np.inf, "singular tridiagonal matrix")
-                f = lower[i] / d[i]
-                d[i + 1] = d[i + 1] - f * du[i]
-            else:
-                f = d[i] / lower[i]
-                d[i], temp = lower[i], d[i + 1]
-                d[i + 1] = du[i] - f * temp
-                if i < n - 2:
-                    self.fill[i] = du[i + 1]
-                    du[i + 1] = -f * self.fill[i]
-                du[i] = temp
-                self.interchanged[i] = True
-            self.factors[i] = f
-        if d[-1] == 0.0:
-            raise SolverFailureError(np.inf, "singular tridiagonal matrix")
-        self.pivots = d
+            raise SolverFailureError(np.inf, "zero pivot in a tridiagonal elimination") from None
+        pivots = np.array(self.pivots, dtype=float)
+        if pivots[-1] == 0.0:
+            raise SolverFailureError(np.inf, "zero pivot in a tridiagonal elimination")
+        if not np.all(np.abs(pivots[:-1]) >= np.abs(lower)):
+            raise SolverFailureError(np.inf, "tridiagonal matrix needs row interchanges")
+        self.factors = (lower / pivots[:-1]).tolist()
 
     def solve(self, b):
         """The solution for the right-hand side b (1-d array of length n)."""
         b = b.tolist()
-        if self.interchanged is None:
-            acc = b[0]
-            y = [acc] + [acc := bn - f * acc for f, bn in zip(self.factors, b[1:])]
-            x = acc / self.pivots[-1]
-            out = [x] + [x := (yi - u * x) / p
-                         for yi, u, p in zip(y[-2::-1], self.upper[::-1], self.pivots[-2::-1])]
-            return np.array(out, dtype=float)[::-1]
-        for i, f in enumerate(self.factors):
-            if self.interchanged[i]:
-                b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
-            else:
-                b[i + 1] = b[i + 1] - f * b[i]
-        d, du, fill = self.pivots, self.upper, self.fill
-        b[-1] = b[-1] / d[-1]
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-        for i in range(len(b) - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - fill[i] * b[i + 2]) / d[i]
-        return np.array(b, dtype=float)
+        acc = b[0]
+        y = [acc] + [acc := bn - f * acc for f, bn in zip(self.factors, b[1:])]
+        x = acc / self.pivots[-1]
+        out = [x] + [x := (yi - u * x) / p
+                     for yi, u, p in zip(y[-2::-1], self.upper[::-1], self.pivots[-2::-1])]
+        return np.array(out, dtype=float)[::-1]
 
 
 def _cubic_splines(x, ys):

@@ -259,7 +259,8 @@ def test_one_transport_per_density_call(sol, monkeypatch):
 
 def test_marginal_checks_grid_step(joint_grid):
     coarse = airy2.JointDensityGrid(s_grid=joint_grid.s_grid[::2], w_grid=joint_grid.w_grid,
-                                    values=joint_grid.values[::2], normalization_estimate=1.0)
+                                    values=joint_grid.values[::2], normalization_estimate=1.0,
+                                    painleve=joint_grid.painleve)
     with pytest.raises(ResolutionError):
         airy2.marginal_w(0.5, coarse)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -190,7 +191,6 @@ def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
         builds.extend((float(M), N) for M in M_values)
         return real_build(M_values, N, **kw)
     monkeypatch.setattr(finite_n, "build_op_tables", counting)
-    monkeypatch.setattr(cli, "build_op_tables", counting)
     assert main(argv) == 0
     # N = 8, 16 and 32 tables belong to the convergence report
     assert [b for b in builds if b[1] == 2] == [(1.5, 2), (2.0, 2), (2.5, 2)]
@@ -206,6 +206,22 @@ def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
         for (_, _, d, cdf), ref in zip(rows[i:i + 9], dens):
             assert d == format(float(ref), ".17g")
             assert cdf == format(float(finite_n.cdf_max_finite_n(M, 2)), ".17g")
+
+
+_TABLE_DIGESTS = {2: "0aba3e4a86db04299349e88a4f178aeab5a30257da86d87034e154bebe175200",
+                  3: "e47d1fd82d9d8aa48039edb499a1f7ac7a4ee3187755241f62792876a42a7595"}
+_CONVERGENCE_DIGEST = "c54038d2454cd930643d8e3d4deac84800207f3aa4aff28b842375b5a1f0b5bb"
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_finite_n_csvs_match_frozen_digests(tmp_path, N):
+    # sha256 of the bytes of both CSVs at the defaults; any change to the
+    # Stieltjes kernel, the G sums, the F_N product or the CSV format shows here
+    table, conv = tmp_path / "fn.csv", tmp_path / "conv.csv"
+    assert main(["finite-n", "-N", str(N), "-o", str(table),
+                 "--convergence-output", str(conv)]) == 0
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == _TABLE_DIGESTS[N]
+    assert hashlib.sha256(conv.read_bytes()).hexdigest() == _CONVERGENCE_DIGEST
 
 
 def _refused_before_any_work(monkeypatch, tmp_path, argv):

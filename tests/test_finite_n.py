@@ -159,15 +159,10 @@ def test_jpdf_nonnegative_grid():
     # wherever F_N(M) is alive, the cutoff exact_marginals uses
     taus = np.arange(0.02, 0.99, 0.04)
     for N in (1, 2, 3, 4):
-        for M in np.arange(0.5, 4.0 * math.sqrt(2.0 * N), 0.2):
-            try:
-                model = fn.build_op_table(M, N)
-            except PrecisionError:
-                continue
-            if fn.log_cdf_max(M, N, model=model) <= -40.0:
-                continue
-            dens = [fn.jpdf_finite_n(M, tau, N, model=model) for tau in taus]
-            assert min(dens) >= 0.0, (N, M)
+        M = np.arange(0.5, 4.0 * math.sqrt(2.0 * N), 0.2)
+        log_f, dens = fn.law_table(M, N, taus)
+        alive = log_f > -40.0
+        assert np.all(dens[alive] >= 0.0), N
 
 
 def test_g_vector_entry_checks():
@@ -179,23 +174,38 @@ def test_g_vector_entry_checks():
     assert fn.g_function_vector(model, [1, 2], np.empty(0)).shape == (2, 0)
     with pytest.raises(DomainError):
         fn.g_function_vector(model, [1, 3], [0.1])
-    with pytest.raises(DomainError):
-        fn.jpdf_finite_n(3.0, 0.3, 3, model=model)
     both = fn.g_function_vector(model, [1, 2], [0.1, -0.2])
     assert abs(both[1, 1] / fn.g_function(model, 2, -0.2) - 1.0) <= 1e-14
 
 
-def test_model_for_another_m_or_n_raises():
-    # an M = 2 table once gave 9.0e-5 for P_3(3, 0.3) = 0.0252 and 3.1e-5
-    # for F_3(3) = 0.993
-    model = fn.build_op_table(2.0, 3)
-    with pytest.raises(DomainError):
-        fn.jpdf_finite_n(3.0, 0.3, 3, model=model)
-    with pytest.raises(DomainError):
-        fn.cdf_max_finite_n(3.0, 3, model=model)
-    with pytest.raises(DomainError):
-        fn.log_cdf_max(2.0, 2, model=model)
-    assert fn.jpdf_finite_n(3.0, 0.3, 3) == pytest.approx(0.0252, rel=2e-3)
+@pytest.mark.parametrize("N, M_values, taus", [
+    (1, [0.5, 1.2, 5.5], [0.35]),
+    (2, np.linspace(1.0, 8.0, 15), np.arange(0.05, 0.96, 0.1)),
+    (3, [3.0, 2.0, 9.5], [[0.05, 0.3], [0.5, 0.95]]),
+])
+def test_law_table_rows_equal_one_m_calls(N, M_values, taus):
+    log_f, dens = fn.law_table(M_values, N, taus)
+    assert log_f.shape == (len(M_values),)
+    assert dens.shape == (len(M_values),) + np.shape(taus)
+    for M, lf, row in zip(M_values, log_f, dens):
+        assert lf == fn.log_cdf_max(M, N)
+        assert np.array_equal(row, fn.jpdf_finite_n(M, taus, N))
+    # no tau, no G pass; the same F_N
+    only_f, empty = fn.law_table(M_values, N)
+    assert np.array_equal(only_f, log_f) and empty.shape == (len(M_values), 0)
+
+
+def test_law_table_refuses_before_any_table(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(fn, "_stieltjes", fail)
+    for M_values, N, taus in (([3.0, 8.1], 2, [0.5]), ([3.0], 0, [0.5]),
+                              ([3.0], 2, [0.5, 1.0]), ([3.0], 2, [0.0]),
+                              ([3.0], 2, [np.nan]), ([0.4], 2, [1.5])):
+        with pytest.raises(DomainError):
+            fn.law_table(M_values, N, taus)
+    log_f, dens = fn.law_table([], 2, [0.5])
+    assert log_f.shape == (0,) and dens.shape == (0, 1)
 
 
 @pytest.mark.parametrize("N,M_values", [
@@ -242,16 +252,15 @@ def test_jpdf_exactly_symmetric_on_a_symmetric_tau_grid():
 
 
 def test_jpdf_array_tau_matches_scalar():
-    model = fn.build_op_table(2.5, 3)
     taus = np.array([[0.05, 0.3], [0.5, 0.95]])
-    dens = fn.jpdf_finite_n(2.5, taus, 3, model=model)
+    dens = fn.jpdf_finite_n(2.5, taus, 3)
     assert dens.shape == taus.shape
     for tau, d in zip(taus.ravel(), dens.ravel()):
-        one = fn.jpdf_finite_n(2.5, tau, 3, model=model)
+        one = fn.jpdf_finite_n(2.5, tau, 3)
         assert isinstance(one, float)
         assert abs(d / one - 1.0) <= 1e-13
     with pytest.raises(DomainError):
-        fn.jpdf_finite_n(2.5, [0.5, 1.0], 3, model=model)
+        fn.jpdf_finite_n(2.5, [0.5, 1.0], 3)
 
 
 def test_plancherel_rotach_tail_window():
@@ -281,21 +290,21 @@ def test_jpdf_matches_brute_force():
     assert ours == pytest.approx(brute, rel=1e-8)
     ours1 = fn.jpdf_finite_n(1.2, 0.35, 1)
     assert ours1 == pytest.approx(brute_force_jpdf(1.2, 0.35, 1, cutoff=60), rel=1e-10)
+    # an op table built for M = 2 once gave 9.0e-5 here
+    assert fn.jpdf_finite_n(3.0, 0.3, 3) == pytest.approx(0.0252, rel=2e-3)
 
 
 def test_jpdf_time_reversal_symmetry():
     # tau and 1 - tau chosen exactly representable so the G products match
     # factor for factor
-    model = fn.build_op_table(2.2, 2)
-    a = fn.jpdf_finite_n(2.2, 0.25, 2, model=model)
-    b = fn.jpdf_finite_n(2.2, 0.75, 2, model=model)
+    a = fn.jpdf_finite_n(2.2, 0.25, 2)
+    b = fn.jpdf_finite_n(2.2, 0.75, 2)
     assert a == b
 
 
 def test_jpdf_nonnegative_sampled():
-    model = fn.build_op_table(2.5, 3)
     for tau in np.arange(0.05, 0.951, 0.1):
-        assert fn.jpdf_finite_n(2.5, tau, 3, model=model) >= 0.0
+        assert fn.jpdf_finite_n(2.5, tau, 3) >= 0.0
 
 
 def test_cdf_limits_and_monotonicity():

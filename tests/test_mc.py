@@ -358,11 +358,11 @@ def test_m_lo_scan_propagates_unexpected_errors(monkeypatch, module, scan):
     calls = []
     real = finite_n.log_cdf_max
 
-    def first_call_fails(M, N, model=None):
+    def first_call_fails(M, N):
         calls.append(M)
         if len(calls) == 1:
             raise ValueError("injected")
-        return real(M, N, model=model)
+        return real(M, N)
 
     monkeypatch.setattr(module, "log_cdf_max", first_call_fails)
     with pytest.raises(ValueError, match="injected"):
@@ -389,3 +389,14 @@ def test_exact_marginals_mass_closes(N):
     _, _, meta = mc.exact_marginals(N)
     below = finite_n.cdf_max_finite_n(meta["m_lo"], N)
     assert abs(meta["raw_mass"] + below - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_exact_tau_density_symmetric(N):
+    # tau - 1/2 on the grid is exactly minus its mirror's, so P_N(M, tau) and
+    # P_N(M, 1 - tau) come from the same G products
+    _, _, meta = mc.exact_marginals(N)
+    tau, dens = meta["tau_grid"], meta["tau_density"]
+    assert tau[0] == 0.0 and tau[-1] == 1.0 and len(tau) == mc.TAU_POINTS
+    assert np.array_equal(tau - 0.5, -(tau[::-1] - 0.5))
+    assert np.array_equal(dens, dens[::-1])
