@@ -1,5 +1,5 @@
 """Joint law of the maximum and its position for the Airy2 process minus a
-parabola, assembled from the Lax-pair psi-functions.
+parabola.
 
 Central objects:
 
@@ -12,9 +12,10 @@ Central objects:
 f has one production route: downward integration of its third-order ODE in
 s, seeded at s = 12 from the closed Airy form, where the psi-function
 corrections are ~1e-12.  f_function reads this transport.  The regularized
-quadrature of the defining integral (_quad_f_batch) is kept as its
-independent oracle: the route cross-checks and the third-order ODE residual
-of the acceptance suite run on it.
+quadrature of the defining integral is its independent oracle,
+lax.f_quadrature, which this module does not import: the route
+cross-checks and the third-order ODE residual of the acceptance suite run
+on it.
 
 P(s, w) has one assembly, _density_columns, behind joint_pdf, the density
 grid and the off-grid marginals.  It transports the +-w columns once, down
@@ -39,12 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainError, MisconfigurationError, RangeError, ResolutionError,
-                     TailRegularizationError)
-from .lax import psi_at_s
+from .errors import DomainError, MisconfigurationError, RangeError, ResolutionError
 from .painleve import tracy_widom_f1
-from .special import (airy_both, cumulative_simpson, gauss_legendre_rule, legendre_nodes,
-                      neville_at_zero, simpson)
+from .special import airy_both, cumulative_simpson, legendre_nodes, simpson
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 TWO_43 = 2.0 ** (4.0 / 3.0)
@@ -87,63 +85,6 @@ def f_closed(s, w, derivatives=0):
     Vpp = 2.0 ** (-4.0 / 3.0) * ((w / 4.0) * theta * A + (A + theta * Ap) / TWO_23)
     f2 = K * E * ((w / 4.0) ** 2 * V + 2.0 * (w / 4.0) * Vp + Vpp)
     return f0, f1, f2
-
-
-def cos_moment(s, w):
-    """Regularized int_0^inf cos(4 zeta^3/3 + s zeta) e^{-w zeta^2} dzeta."""
-    s = np.asarray(s, dtype=float)
-    theta = (s + w * w / 4.0) / TWO_23
-    A, _ = airy_both(theta)
-    return np.exp(w ** 3 / 24.0 + s * w / 4.0) * np.pi * A / TWO_23
-
-
-def _epsilon_ladder(w):
-    # dense (ratio sqrt 2) ladder over the clean linear-bias region above the
-    # floor below which the damped envelope has no resolvable cancellation
-    floor = max(4e-3, 0.30 * abs(min(w, 0.0)) ** 1.5)
-    eps = floor * np.sqrt(2.0) ** np.arange(10)[::-1]
-    return eps[eps <= 1.0]
-
-
-def _quad_f_batch(s_values, w_values, sol, zeta_nodes, zeta_weights):
-    """Regularized-quadrature f at the (s, w) product set.
-
-    Returns (values, error_estimates), each shaped (n_s, n_w).
-    """
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    _, phi2 = psi_at_s(s_values, zeta_nodes, sol)
-    phase = (4.0 / 3.0) * zeta_nodes[:, None] ** 3 + s_values[None, :] * zeta_nodes[:, None]
-    g_coef = 0.5 * (sol.integral_q2(s_values) + sol.q_at(s_values))
-    base = zeta_nodes[:, None] * (phi2 + np.sin(phase)) + g_coef[None, :] * np.cos(phase)
-    vals = np.empty((len(s_values), len(w_values)))
-    errs = np.empty_like(vals)
-    z2 = zeta_nodes ** 2
-    z3 = zeta_nodes ** 3
-    for j, w in enumerate(w_values):
-        kc = cos_moment(s_values, w)
-        fc = f_closed(s_values, w)
-        if w >= 0.2:
-            jhat = zeta_weights @ (base * np.exp(-w * z2)[:, None])
-            err = np.full(len(s_values), 1e-9)
-        else:
-            eps = _epsilon_ladder(w)
-            ladder = [zeta_weights @ (base * np.exp(-w * z2 - e * z3)[:, None]) for e in eps]
-            jhat, err = neville_at_zero(eps, ladder)
-        jfull = jhat - g_coef * kc
-        vals[:, j] = fc - TWO_133 / np.pi ** 2 * jfull
-        errs[:, j] = TWO_133 / np.pi ** 2 * np.maximum(np.atleast_1d(err), 1e-12)
-    return vals, errs
-
-
-def _large_w_f(s_values, w, sol):
-    """f(s, w) for large positive w: the integrand is confined to small zeta,
-    which a 200-point Gauss rule covers."""
-    cut = max(8.0 / np.sqrt(w), 0.4)
-    rule = gauss_legendre_rule(0.0, cut, 200)
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    _, phi2 = psi_at_s(s_values, rule.nodes, sol)
-    integrand = rule.nodes[:, None] * phi2 * np.exp(-w * rule.nodes ** 2)[:, None]
-    return -TWO_133 / np.pi ** 2 * (rule.weights @ integrand)
 
 
 @dataclass(frozen=True)
@@ -516,8 +457,8 @@ class JointDensityGrid:
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
                              w_max=6.0, w_step=0.1):
     """Tabulate P(s, w) on a product grid; w covers [-w_max, w_max]."""
-    if not (s_step > 0.0 and w_step > 0.0 and s_lo < s_hi and w_max >= 0.0):
-        raise DomainError("need s_step > 0, w_step > 0, s_lo < s_hi and w_max >= 0")
+    if not (s_step > 0.0 and w_step > 0.0 and s_lo < s_hi and 0.0 <= w_max <= W_CAP):
+        raise DomainError(f"need s_step > 0, w_step > 0, s_lo < s_hi and 0 <= w_max <= {W_CAP}")
     s_top = min(sol.s_max - 2.0, S_SEED)
     if not (sol.s_min + 0.5 <= s_lo and s_hi <= s_top):
         raise RangeError(f"s range [{s_lo}, {s_hi}] outside [{sol.s_min + 0.5}, {s_top}]")
@@ -567,59 +508,3 @@ def airy2_jpdf(m, t, psi=None, sol=None):
 def argmax_marginal(t, grid):
     """hat-P(t) = 2^{4/3} P_w(2^{4/3} t)."""
     return TWO_43 * marginal_w(TWO_43 * t, grid)
-
-
-@dataclass(frozen=True)
-class TailConstants:
-    """Constants of the large-w analysis of the marginal."""
-
-    C: float
-    D: float
-    c_tilde: float
-    C_tilde: float
-
-    def predicted_right_tail(self, w):
-        w = np.asarray(w, dtype=float)
-        return self.C_tilde / w ** 3 * np.exp(-w ** 3 / 12.0)
-
-
-def recover_matching_constant(sol):
-    """Recover the amplitude constant of the large-w expansion of f.
-
-    The estimator is sqrt(pi) * d_x f(x, w) / d_x f_closed(x, w) at x = 10
-    and w = 18, each derivative by the 5-point stencil of step 0.2; the
-    closed form carries the identical Gaussian-moment structure, so the ratio
-    isolates the zeta -> 0 normalization, and the finite-w corrections cancel
-    between numerator and denominator (residual ~ q(x), below 1e-8 here).
-    """
-    h, w = 0.2, 18.0
-    coef = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    xs = 10.0 + np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    dnum = float(coef @ _large_w_f(xs, w, sol)) / h
-    dclo = float(coef @ f_closed(xs, w)) / h
-    return float(np.sqrt(np.pi) * dnum / dclo)
-
-
-def tail_analysis(sol, grid):
-    """Tail constants of the marginal and the predicted right-tail curve.
-
-    C is recovered numerically from the x -> infinity matching; D, c-tilde and
-    C-tilde follow from the q-integral formulas.  Returns (constants, report)
-    where the report compares the measured marginal against the predicted
-    envelope on w in [3, 4].
-    """
-    z_neg = np.linspace(sol.s_min, 0.0, 2401)
-    z_pos = np.linspace(0.0, sol.s_max, 2401)
-    d_left = simpson(np.exp(-2.0 * sol.integral_q(z_neg)), x=z_neg)
-    k_int = simpson(1.0 - np.exp(-2.0 * sol.integral_q(z_pos)), x=z_pos)
-    if not (np.isfinite(d_left) and np.isfinite(k_int)):
-        raise TailRegularizationError({"d_left": d_left, "k_int": k_int})
-    C = recover_matching_constant(sol)
-    D = C * (d_left + k_int)
-    f1_0 = tracy_widom_f1(0.0, sol)
-    c_tilde = 2.0 ** 4.5 / np.pi ** 3 * k_int
-    C_tilde = 2.0 ** (-7.0 / 6.0) / np.pi * f1_0 * k_int
-    constants = TailConstants(C=C, D=D, c_tilde=c_tilde, C_tilde=C_tilde)
-    report = {w: marginal_w(w, grid) / float(constants.predicted_right_tail(w))
-              for w in (3.0, 3.5, 4.0)}
-    return constants, report

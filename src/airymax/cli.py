@@ -49,6 +49,8 @@ def write_json(path, payload, columns):
 
 
 def cmd_tw_f1(args):
+    if not all(map(math.isfinite, (args.s_min, args.s_max, args.step))):
+        raise DomainError("--s-min, --s-max and --step must be finite")
     if args.s_min >= args.s_max or args.step <= 0:
         raise DomainError("need s_min < s_max and step > 0")
     s = np.round(np.arange(args.s_min, args.s_max + args.step / 2, args.step), 12)

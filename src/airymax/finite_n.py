@@ -539,14 +539,6 @@ class ScalingCoordinates:
         return M, tau
 
     @staticmethod
-    def c_of(k, M):
-        return 2.0 * k / (M * M)
-
-    @staticmethod
-    def rho_of(u):
-        return 1.0 - 4.0 * u * u
-
-    @staticmethod
     def x_of(index, M):
         return M ** (4.0 / 3.0) * (1.0 - index / (M * M))
 

@@ -325,13 +325,16 @@ def sample_ensemble(N, steps, n_samples, seed):
     N = 2 draw at 8,000 steps), and refined_fraction is the share of
     windows refined; N = 1 reports 0 and 1.
 
-    Any other N, steps < 2000 and n_samples < 1 raise DomainError at entry.
+    Any other N, steps < 2000, n_samples < 1 and a seed outside [0, 2^64)
+    raise DomainError at entry.
     Non-finite samples raise PrecisionError; every N = 3 draw still does,
     since the top eigenvalue is 0/0 at the coarse point t = 0.
     """
     _check_walkers(N, steps)
     if n_samples < 1:
         raise DomainError("n_samples >= 1 required")
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed {seed} outside [0, 2^64)")
     if N == 1:
         samples = np.empty((n_samples, 2))
         for i in range(n_samples):

@@ -199,10 +199,6 @@ class PainleveSolution:
         """u(s) = q^2 - q'."""
         return self.potentials(s)[0]
 
-    def potential_prime(self, s):
-        """u'(s) = 2 q q' - q''."""
-        return self.potentials(s)[1]
-
     def integral_q(self, s):
         s = self._check(s)
         return (self._aq_total - self._aq(s)) + self._tail_q

@@ -11,7 +11,7 @@ from .finite_n import (ScalingCoordinates, build_op_table, double_scaling_check,
                        edge_law_convergence, f1_scaling_function, g_closed_form,
                        g_function, g_plancherel_rotach, jpdf_finite_n,
                        large_deviation_eval)
-from .lax import default_zeta_rule, psi_at_s, solve_psi_column
+from .lax import default_zeta_rule, f_quadrature, psi_at_s, solve_psi_column
 from .painleve import tracy_widom_f1
 from .special import airy_ai
 
@@ -106,7 +106,7 @@ def third_order_residual(sol, w, s_points):
     rule = default_zeta_rule()
     offsets = np.arange(-3, 4) * h
     s_all = np.unique(np.round(np.add.outer(np.asarray(s_points), offsets).ravel(), 10))
-    vals, _ = airy2._quad_f_batch(s_all, [w], sol, rule.nodes, rule.weights)
+    vals, _ = f_quadrature(s_all, [w], sol, rule.nodes, rule.weights)
     table = dict(zip(np.round(s_all, 10), vals[:, 0]))
     worst = 0.0
     for s0 in s_points:

@@ -364,8 +364,7 @@ def transport_profile_sequential(w_values, sol, s_lo=-10.5, s_hi=12.0, step=0.00
     h = -(s_hi - s_lo) / n
     s_desc = s_hi + h * np.arange(n + 1)
     half = s_hi + 0.5 * h * np.arange(2 * n + 1)
-    U = sol.potential(half)
-    Up = sol.potential_prime(half)
+    U, Up = sol.potentials(half)
 
     Y = np.empty((3, len(w_arr)))
     for i, w in enumerate(w_arr):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from airymax import airy2, fredholm, special
+from airymax import airy2, fredholm, lax, special
 from airymax.errors import (AirymaxError, DomainError, MisconfigurationError, RangeError,
                             ResolutionError)
-from airymax.lax import default_zeta_rule
 from airymax.special import airy_ai_prime
 
 from _oracles import transport_profile_sequential
@@ -12,7 +11,7 @@ from _oracles import transport_profile_sequential
 
 @pytest.fixture(scope="module")
 def zeta_rule():
-    return default_zeta_rule()
+    return lax.default_zeta_rule()
 
 
 def test_f_large_s_closed_form(sol):
@@ -32,7 +31,7 @@ def test_f_at_w_zero_large_s(sol):
 ])
 def test_route_cross_validation(sol, zeta_rule, s, w, tol):
     # the regularized-quadrature oracle against the transport of f_function
-    vals, errs = airy2._quad_f_batch([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)
+    vals, errs = lax.f_quadrature([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)
     assert abs(vals[0, 0] - airy2.f_function(s, w, sol=sol)) <= max(tol, 5 * errs[0, 0])
 
 
@@ -47,23 +46,18 @@ def test_deep_corner_f_matches_quadrature(sol, zeta_rule):
     points = [(-10.0, 3.0), (-9.0, 3.0), (-8.0, 3.0), (-8.0, 4.0), (-10.0, 2.0)]
     gaps = []
     for s, w in points:
-        quad = float(airy2._quad_f_batch([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)[0][0, 0])
+        quad = float(lax.f_quadrature([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)[0][0, 0])
         gaps.append(abs(airy2.f_function(s, w, sol=sol) / quad - 1.0))
     assert max(gaps) <= 1e-6, gaps
 
 
-def test_f_function_has_one_route(sol, zeta_rule, monkeypatch):
+def test_f_function_has_one_route(sol, zeta_rule):
     # the five f points of the benchmark's edge_points workload, against the
-    # quadrature oracles (the large-w rule at w = 5.5)
+    # quadrature oracle; airy2 imports no oracle (test_dependencies), so the
+    # transport is the only route f_function can take
     points = [(0.4, 0.9), (0.5, -0.3), (6.0, -1.0), (7.0, -2.0), (0.5, 5.5)]
-    oracle = [float(airy2._large_w_f([s], w, sol)[0]) if w >= 5.0 else
-              float(airy2._quad_f_batch([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)[0][0, 0])
+    oracle = [float(lax.f_quadrature([s], [w], sol, zeta_rule.nodes, zeta_rule.weights)[0][0, 0])
               for s, w in points]
-
-    def no_quadrature(*a, **k):
-        raise AssertionError("f_function took a quadrature route")
-    monkeypatch.setattr(airy2, "psi_at_s", no_quadrature)
-    monkeypatch.setattr(airy2, "_quad_f_batch", no_quadrature)
     for (s, w), ref in zip(points, oracle):
         assert abs(airy2.f_function(s, w, sol=sol) - ref) <= 2e-4
 
@@ -150,7 +144,6 @@ def test_f_function_checks_s_at_entry(sol, monkeypatch, s, w):
     def no_work(*a, **k):
         raise AssertionError("f evaluated outside its domain")
     monkeypatch.setattr(airy2, "transport_profile", no_work)
-    monkeypatch.setattr(airy2, "psi_at_s", no_work)
     with pytest.raises(RangeError):
         airy2.f_function(s, w, sol=sol)
 
@@ -372,7 +365,7 @@ def test_tail_product_against_mpmath_quadrature(w):
 
 
 def test_tail_constants(sol, joint_grid):
-    const, report = airy2.tail_analysis(sol, joint_grid)
+    const, report = lax.tail_analysis(sol, joint_grid)
     assert const.C == pytest.approx(np.sqrt(np.pi), abs=1e-6)
     assert const.D > 0.0
     assert const.c_tilde > 0.0 and const.C_tilde > 0.0
@@ -384,7 +377,7 @@ def test_tail_constants(sol, joint_grid):
                           "measured marginal by a large structural factor on w in "
                           "[3, 4]; see the decisions ledger")
 def test_tail_envelope_band(sol, joint_grid):
-    const, report = airy2.tail_analysis(sol, joint_grid)
+    const, report = lax.tail_analysis(sol, joint_grid)
     assert all(0.5 <= r <= 2.0 for r in report.values())
 
 

@@ -32,6 +32,33 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["no-such-command"]) == 1
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the entry checks")
+
+
+@pytest.mark.parametrize("flag,value", [("--s-min", "-inf"), ("--s-max", "inf"),
+                                        ("--step", "nan")])
+def test_tw_f1_refuses_nonfinite_range(tmp_path, monkeypatch, flag, value):
+    # these exited 2 with numpy's "arange: cannot compute length" or
+    # "Maximum allowed size exceeded"; "--s-min -inf" would be refused by
+    # argparse, which reads -inf as an option
+    monkeypatch.setattr(cli, "solve_hastings_mcleod", _no_work)
+    out = tmp_path / "tw.csv"
+    assert main(["tw-f1", f"{flag}={value}", "-o", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["jpdf", "marginal"])
+@pytest.mark.parametrize("w_max", ["inf", "6.5"])
+def test_w_max_above_the_cap_refused_at_entry(tmp_path, monkeypatch, command, w_max):
+    # --w-max inf exited 2 with numpy's "Maximum allowed size exceeded"
+    from airymax import airy2
+    monkeypatch.setattr(airy2, "_density_columns", _no_work)
+    out = tmp_path / "out.csv"
+    assert main([command, "--w-max", w_max, "-o", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["jpdf", "--s-step", "0"], ["jpdf", "--w-step", "0"],
     ["jpdf", "--s-min", "5", "--s-max", "-5"], ["jpdf", "--s-min", "20", "--s-max", "30"],
@@ -98,6 +125,16 @@ def test_mc_refuses_four_walkers(tmp_path):
     # samplers exist for N = 1, 2, 3 only; the refusal is a usage error
     out = tmp_path / "mc.csv"
     assert main(["mc", "-N", "4", "--samples", "5", "-o", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_mc_refuses_a_seed_outside_uint64(tmp_path, monkeypatch, seed):
+    # these exited 2 with numpy's uint64 conversion errors
+    from airymax import mc
+    monkeypatch.setattr(mc, "_rng_for", _no_work)
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--seed", seed, "--samples", "5", "-o", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -226,18 +263,15 @@ def test_finite_n_csvs_match_frozen_digests(tmp_path, N):
 
 def _refused_before_any_work(monkeypatch, tmp_path, argv):
     from airymax import finite_n
-
-    def fail(*args, **kwargs):
-        raise AssertionError("work started before the entry checks")
-    monkeypatch.setattr(finite_n, "_stieltjes", fail)
-    monkeypatch.setattr(cli, "solve_hastings_mcleod", fail)
+    monkeypatch.setattr(finite_n, "_stieltjes", _no_work)
+    monkeypatch.setattr(cli, "solve_hastings_mcleod", _no_work)
     out = tmp_path / "fn.csv"
     assert main(["finite-n", *argv, "-o", str(out)]) == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
-    ["--m-max", "inf"], ["--m-min", "nan"], ["--m-min", "-inf"], ["--m-step", "inf"],
+    ["--m-max", "inf"], ["--m-min", "nan"], ["--m-min=-inf"], ["--m-step", "inf"],
     ["--m-step", "nan"],
 ])
 def test_finite_n_refuses_nonfinite_grid(tmp_path, monkeypatch, argv):

@@ -1,5 +1,6 @@
-"""The package imports exactly its declared dependencies, `import airymax`
-loads no scipy module, and the CLI runs where scipy cannot be imported."""
+"""The package imports exactly its declared dependencies, no production
+module imports an oracle, `import airymax` loads no scipy module, and the CLI
+runs where scipy cannot be imported."""
 
 import ast
 import os
@@ -14,15 +15,38 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "airymax"
+PRODUCTION = ("special", "painleve", "airy2", "finite_n", "mc", "errors")
+# the oracle layer and its consumers; __init__ re-exports all of them
+ORACLES = {"lax", "fredholm", "oracles", "validation", "cli", "__init__"}
+
+
+def _imports(path):
+    """Dotted names of the imports anywhere in a file, function bodies
+    included.  Relative imports resolve inside airymax, whose modules sit side
+    by side, and `from airymax import x` names airymax.x."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = ".".join(filter(None, ["airymax", node.module]))
+            if base == "airymax":
+                yield from (f"airymax.{alias.name}" for alias in node.names)
+            else:
+                yield base
 
 
 def _top_level_imports(path):
-    """Top-level names of absolute imports anywhere in a file, function bodies included."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+    return {name.split(".")[0] for name in _imports(path)}
+
+
+def _package_imports(path):
+    """The airymax modules a file imports; the package itself is __init__."""
+    for name in _imports(path):
+        parts = name.split(".")
+        if parts[0] == "airymax":
+            yield parts[1] if len(parts) > 1 else "__init__"
 
 
 def test_runtime_imports_are_declared():
@@ -43,9 +67,21 @@ def test_runtime_imports_are_declared():
 
 def test_import_walk_sees_function_level_imports(tmp_path):
     source = tmp_path / "mod.py"
-    source.write_text("import numpy as np\n\n\ndef f():\n    from mpmath import mp\n"
-                      "    import scipy.special\n    from . import sibling\n")
-    assert sorted(_top_level_imports(source)) == ["mpmath", "numpy", "scipy"]
+    source.write_text("import numpy as np\nfrom .errors import DomainError\n\n\ndef f():\n"
+                      "    from mpmath import mp\n    import scipy.special\n"
+                      "    from . import lax, special\n    import airymax.fredholm\n"
+                      "    from airymax import oracles\n    from airymax.cli import main\n"
+                      "    import airymax\n")
+    assert sorted(_top_level_imports(source)) == ["airymax", "mpmath", "numpy", "scipy"]
+    assert sorted(_package_imports(source)) == ["__init__", "cli", "errors", "fredholm",
+                                                "lax", "oracles", "special"]
+
+
+def test_production_never_imports_oracles():
+    found = sorted((name, module) for name in PRODUCTION
+                   for module in _package_imports(PACKAGE / f"{name}.py")
+                   if module in ORACLES)
+    assert not found, f"production modules importing an oracle: {found}"
 
 
 def _run(code):

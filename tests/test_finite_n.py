@@ -478,10 +478,3 @@ def test_scaling_roundtrip(M, tau):
     M2, tau2 = coords.from_sw(s, w)
     assert M2 == pytest.approx(M, rel=1e-12)
     assert tau2 == pytest.approx(tau, abs=1e-12)
-
-
-def test_scaling_domain_relations():
-    coords = fn.ScalingCoordinates(N=8)
-    assert coords.rho_of(0.0) == 1.0
-    assert 0.0 < coords.rho_of(0.49) < 1.0
-    assert coords.c_of(4, 4.0) == pytest.approx(0.5)

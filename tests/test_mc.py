@@ -263,7 +263,7 @@ def test_chi2_validity_floor():
 
 
 @pytest.mark.xfail(strict=True, raises=PrecisionError,
-                   reason="ROADMAP item 4(a): _top_eigenpath(a, 7) divides 0/0 at t = 0 and "
+                   reason="ROADMAP item 2(a): _top_eigenpath(a, 7) divides 0/0 at t = 0 and "
                           "t = 1, so every N = 3 sample is (nan, 0.0)")
 def test_n3_samples_are_finite():
     ens = mc.sample_ensemble(3, 2000, 5, seed=3)
@@ -304,6 +304,10 @@ def test_parameter_guards(monkeypatch):
     for n in (0, -1):
         with pytest.raises(DomainError):
             mc.sample_ensemble(1, 2000, n, seed=1)
+    for N in (1, 2):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(DomainError):
+                mc.sample_ensemble(N, 2000, 10, seed=seed)
 
 
 def test_dump_roundtrip(tmp_path):
