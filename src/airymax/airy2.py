@@ -18,8 +18,10 @@ cross-checks and the third-order ODE residual of the acceptance suite run
 on it.
 
 P(s, w) has one assembly, _density_columns, behind joint_pdf, the density
-grid and the off-grid marginals.  It transports the +-w columns once, down
-to the lowest s wanted, and accumulates int_s^inf f(x, w) f(x, -w) dx
+grid and the off-grid marginals.  It builds the transport's steps once,
+down to the lowest s wanted, and transports the +-w columns through them
+in blocks of a fixed number of columns, so its memory does not grow with
+the number of w.  Each block accumulates int_s^inf f(x, w) f(x, -w) dx
 downward from the seed point by cumulative Simpson, plus the tail above it.
 The tail is in closed form: the exponentials of f_closed(x, w) and
 f_closed(x, -w) cancel, which leaves the Airy primitive of
@@ -112,9 +114,11 @@ class FProfile:
         return float(np.interp(s, self.s_grid, self.column(w)))
 
 
+_STEP = 0.0025              # transport step in s
 _CHUNK = 16                 # steps per chunk of the scan
 _SUPER = 8                  # chunks per superchunk; both fixed, so no column depends on the others
 _GROUP_ELEMENTS = 2 ** 15   # column-steps of the superchunks scanned together
+_BLOCK_COLUMNS = 8          # columns transported together for P(s, w)
 _EYE = ((1.0,), (), (), (), (1.0,), (), (), (), (1.0,))
 
 
@@ -225,26 +229,122 @@ def _step_states(m, y, out):
         y = out[:, j]
 
 
-def _ode_steps(sol, s_hi, h, n, k):
-    """The RK4 step matrices of the steps k (of n) of length h down from
-    s_hi, as polynomials in v = h w / 4 for the state (f, r f', r^2 f''),
-    r = h/2.
+def _ode_steps(sol, s_hi, h, n, groups):
+    """The RK4 step matrices of the n steps of length h down from s_hi, as
+    polynomials in v = h w / 4 for the state (f, r f', r^2 f''), r = h/2,
+    each coefficient an array over the steps in the scan order of groups:
+    within a group, step j of chunk i of superchunk c is stored at [j, i, c],
+    and the padding up to the last group's end repeats step n - 1.
 
     f''' = (a + b w) f + c f' + (w/2) f'' with a = (3 u' + 2)/4, b = -u/2
     and c = (6 u + s)/4; in that state (h/2) A is the companion matrix with
-    last row (r^3 a + 2 r^2 b v, r^2 c, v)."""
-    half = s_hi + 0.5 * h * np.arange(2 * n + 1)
-    U, Up = sol.potentials(half)
+    last row (r^3 a + 2 r^2 b v, r^2 c, v).  The steps are built group by
+    group, each from the potentials at its own half-points, into arrays
+    allocated once, so the build's temporaries are those of one group."""
     r = h / 2.0
-    alpha, beta, gamma = r ** 3 * (3.0 * Up + 2.0) / 4.0, -r * r * U, r * r * (6.0 * U + half) / 4.0
+    steps = None
+    for k0, k1 in groups:
+        half = s_hi + 0.5 * h * np.arange(2 * k0, 2 * min(k1, n) + 1)
+        U, Up = sol.potentials(half)
+        alpha, beta, gamma = r ** 3 * (3.0 * Up + 2.0) / 4.0, -r * r * U, r * r * (6.0 * U + half) / 4.0
+        k = 2 * (np.minimum(np.arange(k0, k1).reshape(-1, _SUPER, _CHUNK).T.ravel(), n - 1) - k0)
 
-    def coef(i):
-        return (alpha[i], beta[i]), (gamma[i],), (0.0, 1.0)
+        def coef(i):
+            return (alpha[i], beta[i]), (gamma[i],), (0.0, 1.0)
 
-    return _rk4_step_polynomials(coef(2 * k), coef(2 * k + 1), coef(2 * k + 2))
+        group = _rk4_step_polynomials(coef(k), coef(k + 1), coef(k + 2))
+        if steps is None:
+            steps = [tuple(np.empty(groups[-1][1]) if np.ndim(a) else a for a in poly)
+                     for poly in group]
+        for poly, part in zip(steps, group):
+            for a, p in zip(poly, part):
+                if np.ndim(a):
+                    a[k0:k1] = p
+    return steps
 
 
-def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
+class _Sweep:
+    """The downward transport from s_hi to s_lo in steps of about step, for
+    calls of at most n_cols columns: its nodes s_hi + h k (k = 0..n), its
+    scan groups and its step polynomials, built once and run on any set of
+    columns.  Every column's values are bitwise the same in every call."""
+
+    def __init__(self, sol, s_lo, s_hi, step, n_cols):
+        self.n = max(1, int(round((s_hi - s_lo) / step)))   # s_lo within half a step of s_hi: one step
+        self.s_hi, self.h = s_hi, -(s_hi - s_lo) / self.n
+        size = _CHUNK * _SUPER
+        span = size * max(1, _GROUP_ELEMENTS // (size * n_cols))
+        n_pad = -(-self.n // size) * size
+        self.groups = [(k0, min(k0 + span, n_pad)) for k0 in range(0, self.n, span)]
+        steps = _ode_steps(sol, s_hi, self.h, self.n, self.groups) if self.h else ()
+        # per group, each coefficient as [j, 0, i, c] for Horner's broadcast
+        self.group_steps = [[[p if np.ndim(p) == 0 else p[k0:k1].reshape(_CHUNK, 1, _SUPER, -1)
+                              for p in poly] for poly in steps] for k0, k1 in self.groups]
+
+    def nodes(self):
+        """The transport's s nodes, descending from s_hi."""
+        return self.s_hi + self.h * np.arange(self.n + 1)
+
+    def run(self, w_arr, rows=None):
+        """(f, f_s, f_ss) of each column of w_arr at the nodes, (3, n + 1,
+        n_cols).  Given rows, ascending node indices, f alone at the nodes,
+        (n + 1, n_cols), and (f, f_s, f_ss) at rows, (3, len(rows), n_cols),
+        each value bitwise the same."""
+        seed = np.array(f_closed(np.array([self.s_hi]), w_arr, derivatives=2))
+        h, n_cols = self.h, len(w_arr)
+        if h == 0.0:                                   # s_lo = s_hi: the step leaves the seed
+            desc = np.stack([seed, seed], axis=1)
+            return desc if rows is None else (desc[0], desc[:, rows])
+        n_pad = self.groups[-1][1]
+        span = self.groups[0][1]
+        if rows is None:
+            desc = np.empty((3, n_pad + 1, n_cols))    # descending s
+            desc[:, 0] = seed
+        else:
+            f = np.empty((n_pad + 1, n_cols))
+            f[0] = seed[0]
+            at = np.empty((3, len(rows), n_cols))
+            at[:, rows == 0] = seed[:, None]
+        scale = np.array([1.0, h / 2.0, h * h / 4.0])
+        Y = seed * scale[:, None]
+        v_col = (h / 4.0) * w_arr[:, None, None]
+        S_buf, states_buf = np.empty(9 * span * n_cols), np.empty(3 * span * n_cols)
+        for (k0, k1), steps in zip(self.groups, self.group_steps):
+            n_super = (k1 - k0) // (_CHUNK * _SUPER)
+            # S[:, :, j, col, i, c]: the step matrices, evaluated per column
+            S = S_buf[:9 * (k1 - k0) * n_cols].reshape(3, 3, _CHUNK, n_cols, _SUPER, n_super)
+            for m, poly in zip(S.reshape(9, *S.shape[2:]), steps):
+                _horner(poly, v_col, m)
+            # pass 1: the product of the steps of each chunk, then of the chunks
+            # of each superchunk
+            E = _products(S)                           # [:, :, col, i, c]
+            T = _products(np.moveaxis(E, 3, 2))        # [:, :, col, c]
+            # the carry from one superchunk start to the next, then every chunk
+            # start, then (pass 2) every state, each stepped from its start
+            sup = np.empty((3, n_cols, n_super))
+            sup[:, :, 0] = Y
+            _step_states(np.moveaxis(T, 3, 2)[:, :, :-1], Y, np.moveaxis(sup, 2, 1)[:, 1:])
+            _matvec(T[..., -1], sup[..., -1], Y, np.empty_like(Y))
+            starts = np.empty((3, n_cols, _SUPER, n_super))
+            starts[:, :, 0] = sup
+            _step_states(np.moveaxis(E, 3, 2)[:, :, :-1], sup, np.moveaxis(starts, 2, 1)[:, 1:])
+            states = states_buf[:3 * (k1 - k0) * n_cols].reshape(3, _CHUNK, n_cols, _SUPER, n_super)
+            _step_states(S, starts, states)
+            if rows is None:
+                np.divide(states.transpose(0, 4, 3, 1, 2), scale[:, None, None, None, None],
+                          out=desc[:, k0 + 1:k1 + 1].reshape(3, n_super, _SUPER, _CHUNK, n_cols))
+                continue
+            # f unscaled (its scale is 1); the rows k0 < r <= k1 are step r - 1
+            f[k0 + 1:k1 + 1].reshape(n_super, _SUPER, _CHUNK, n_cols)[...] = states[0].transpose(3, 2, 0, 1)
+            sel = np.flatnonzero((rows > k0) & (rows <= k1))
+            j, i, c = np.unravel_index(rows[sel] - 1 - k0, (n_super, _SUPER, _CHUNK))[::-1]
+            at[:, sel] = np.moveaxis(states[:, j, :, i, c], 0, 1) / scale[:, None, None]
+        if rows is None:
+            return desc[:, :self.n + 1]
+        return f[:self.n + 1], at
+
+
+def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=_STEP):
     """Integrate the third-order ODE in s downward from s_hi for each w.
 
     The equation is 4 f''' = 2 w f'' + f' (6 u + s) + f (3 u' + 2 - 2 w u)
@@ -272,62 +372,19 @@ def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=0.0025):
     so each column's values are bitwise independent of the other columns in
     the call.
     """
-    w_arr = np.atleast_1d(np.asarray(w_values, dtype=float))
-    if np.any(np.abs(w_arr) > W_CAP):
-        raise DomainError(f"|w| capped at {W_CAP}")
-    n = max(1, int(round((s_hi - s_lo) / step)))   # s_lo within half a step of s_hi: one step
-    h = -(s_hi - s_lo) / n
-    seed = np.array(f_closed(np.array([s_hi]), w_arr, derivatives=2))
-    if h == 0.0:                                   # s_lo = s_hi: the step leaves the seed
-        return FProfile(s_grid=np.full(2, s_hi), w_values=w_arr,
-                        f=np.tile(seed[0], (2, 1)), f_s=np.tile(seed[1], (2, 1)),
-                        f_ss=np.tile(seed[2], (2, 1)))
-    n_cols = len(w_arr)
-    size = _CHUNK * _SUPER
-    span = size * max(1, _GROUP_ELEMENTS // (size * n_cols))
-    n_pad = -(-n // size) * size
-    groups = [(k0, min(k0 + span, n_pad)) for k0 in range(0, n, span)]
-    # within a group, step j of chunk i of superchunk c is stored at
-    # [j, i, c]; the padding repeats the last step, and no state before it
-    # depends on it
-    order = np.concatenate([np.arange(k0, k1).reshape(-1, _SUPER, _CHUNK).T.ravel()
-                            for k0, k1 in groups])
-    steps = _ode_steps(sol, s_hi, h, n, np.minimum(order, n - 1))
-
-    desc = np.empty((3, n_pad + 1, n_cols))        # descending s
-    desc[:, 0] = seed
-    scale = np.array([1.0, h / 2.0, h * h / 4.0])
-    Y = seed * scale[:, None]
-    v_col = (h / 4.0) * w_arr[:, None, None]
-    S_buf, states_buf = np.empty(9 * span * n_cols), np.empty(3 * span * n_cols)
-    for k0, k1 in groups:
-        n_super = (k1 - k0) // size
-        # S[:, :, j, col, i, c]: the step matrices, evaluated per column
-        S = S_buf[:9 * (k1 - k0) * n_cols].reshape(3, 3, _CHUNK, n_cols, _SUPER, n_super)
-        for m, poly in zip(S.reshape(9, *S.shape[2:]), steps):
-            _horner([p if np.ndim(p) == 0 else p[k0:k1].reshape(_CHUNK, 1, _SUPER, n_super)
-                     for p in poly], v_col, m)
-        # pass 1: the product of the steps of each chunk, then of the chunks
-        # of each superchunk
-        E = _products(S)                           # [:, :, col, i, c]
-        T = _products(np.moveaxis(E, 3, 2))        # [:, :, col, c]
-        # the carry from one superchunk start to the next, then every chunk
-        # start, then (pass 2) every state, each stepped from its start
-        sup = np.empty((3, n_cols, n_super))
-        sup[:, :, 0] = Y
-        _step_states(np.moveaxis(T, 3, 2)[:, :, :-1], Y, np.moveaxis(sup, 2, 1)[:, 1:])
-        _matvec(T[..., -1], sup[..., -1], Y, np.empty_like(Y))
-        starts = np.empty((3, n_cols, _SUPER, n_super))
-        starts[:, :, 0] = sup
-        _step_states(np.moveaxis(E, 3, 2)[:, :, :-1], sup, np.moveaxis(starts, 2, 1)[:, 1:])
-        states = states_buf[:3 * (k1 - k0) * n_cols].reshape(3, _CHUNK, n_cols, _SUPER, n_super)
-        _step_states(S, starts, states)
-        np.divide(states.transpose(0, 4, 3, 1, 2), scale[:, None, None, None, None],
-                  out=desc[:, k0 + 1:k1 + 1].reshape(3, n_super, _SUPER, _CHUNK, n_cols))
-
-    asc = desc[:, n::-1]
-    return FProfile(s_grid=(s_hi + h * np.arange(n + 1))[::-1].copy(), w_values=w_arr,
+    w_arr = _columns(w_values)
+    sweep = _Sweep(sol, s_lo, s_hi, step, len(w_arr))
+    asc = sweep.run(w_arr)[:, ::-1]
+    return FProfile(s_grid=sweep.nodes()[::-1].copy(), w_values=w_arr,
                     f=asc[0], f_s=asc[1], f_ss=asc[2])
+
+
+def _columns(w_values):
+    """w_values as a 1-d float array, checked against W_CAP (NaN fails too)."""
+    w_arr = np.atleast_1d(np.asarray(w_values, dtype=float))
+    if not np.all(np.abs(w_arr) <= W_CAP):
+        raise DomainError(f"|w| capped at {W_CAP}")
+    return w_arr
 
 
 def f_function(s, w, psi=None, sol=None, with_error=False):
@@ -355,53 +412,67 @@ def _tail_product(w):
     return TAIL_FROM_LARGE_S * joint_pdf_large_s(S_SEED, w)
 
 
-def _taylor_to(prof, sol, node, s_points):
-    """f at the 6 Gauss-Legendre points x of [s, prof.s_grid[node]] for each
-    s of s_points, by the cubic Taylor expansion of every column about its
-    node, f''' taken from the ODE there.  Returns the points' quadrature
-    weights (n_s, 6) and the values (n_s, 6, n_cols)."""
-    s_node = prof.s_grid[node]
+def _taylor_rule(sol, s_node, s_points):
+    """The 6-point Gauss-Legendre rule on [s, s_node] for each s of s_points
+    and its transport node s_node above: the weights (n_s, 6), the offsets
+    x - s_node (n_s, 6, 1), and the potential terms of f''' at the nodes."""
     gap = s_node - s_points
     t, wt = legendre_nodes(6)
-    d = (-0.5 * gap[:, None] * (1.0 + t))[..., None]       # x - s_node
     u, up = (v[:, None] for v in sol.potentials(s_node))
-    f0, f1, f2 = prof.f[node], prof.f_s[node], prof.f_ss[node]
-    w = prof.w_values
-    f3 = (((3.0 * up + 2.0 - 2.0 * w * u) * f0 + (6.0 * u + s_node[:, None]) * f1) / 4.0
-          + w * f2 / 2.0)
-    vals = f0[:, None] + d * (f1[:, None] + d * (f2[:, None] / 2.0 + d * f3[:, None] / 6.0))
-    return 0.5 * gap[:, None] * wt, vals
+    return (0.5 * gap[:, None] * wt, (-0.5 * gap[:, None] * (1.0 + t))[..., None],
+            u, 3.0 * up + 2.0, 6.0 * u + s_node[:, None])
+
+
+def _taylor_values(rule, f0, f1, f2, w):
+    """f at the rule's points, (n_s, 6, n_cols), by the cubic Taylor
+    expansion of each column about its node from (f, f_s, f_ss) there, each
+    (n_s, n_cols), with f''' taken from the ODE."""
+    _, d, u, a0, a1 = rule
+    f3 = ((a0 - 2.0 * w * u) * f0 + a1 * f1) / 4.0 + w * f2 / 2.0
+    return f0[:, None] + d * (f1[:, None] + d * (f2[:, None] / 2.0 + d * f3[:, None] / 6.0))
 
 
 def _density_columns(w_values, sol, s_points):
     """P(s, w) at the ascending s_points for each w, shaped (n_s, n_w).
 
-    One transport of the +-w columns ends at s_points[0].  Each column's
-    int_s^inf f(x, w) f(x, -w) dx is accumulated downward from S_SEED, where
-    the product is small, so a small P(s, w) is not the difference of two
-    large integrals; the analytic tail above S_SEED is added.  The sums are
-    read at the first transport node at or above each s, and the piece from
-    s up to that node is added by a 6-point Gauss rule on the nodes' cubic
-    Taylor expansions.
+    The +-w columns are transported once each, down to s_points[0], in
+    blocks of at most _BLOCK_COLUMNS that keep every -w beside its w.  The
+    steps are built once per call, and each block is turned into P before
+    the next one is transported, so the memory does not grow with the number
+    of w.  Each column's int_s^inf f(x, w) f(x, -w) dx is accumulated
+    downward from S_SEED, where the product is small, so a small P(s, w) is
+    not the difference of two large integrals; the analytic tail above
+    S_SEED is added.  The sums are read at the first transport node at or
+    above each s, and the piece from s up to that node is added by a 6-point
+    Gauss rule on the nodes' cubic Taylor expansions.  Every entry is
+    bitwise the same whatever else shares the call.
     """
     w_values = np.asarray(w_values, dtype=float)
     s_points = np.asarray(s_points, dtype=float)
-    cols, where = np.unique(np.concatenate([w_values, -w_values]), return_inverse=True)
-    prof = transport_profile(cols, sol, s_lo=s_points[0])
-    x_desc = -prof.s_grid[::-1]            # ascending in -s, from -S_SEED
-    f_desc = prof.f[::-1]
-    node = np.searchsorted(prof.s_grid, s_points - 1e-9)
-    idx = len(x_desc) - 1 - node
-    gauss_w, f_gap = _taylor_to(prof, sol, node, s_points)
+    cols, where = np.unique(_columns(np.concatenate([w_values, -w_values])), return_inverse=True)
+    n_c, n_w = len(cols), len(w_values)
+    sweep = _Sweep(sol, s_points[0], S_SEED, _STEP, min(n_c, _BLOCK_COLUMNS))
+    s_desc = sweep.nodes()
+    x_desc = -s_desc                       # ascending in -s, from -S_SEED
+    idx = sweep.n - np.searchsorted(s_desc[::-1], s_points - 1e-9)
+    rows, back = np.unique(idx, return_inverse=True)
+    rule = _taylor_rule(sol, s_desc[idx], s_points)
     scale = JOINT_PREFACTOR * tracy_widom_f1(s_points, sol)
-    out = np.empty((len(s_points), len(w_values)))
-    n_w = len(w_values)
     tails = _tail_product(w_values)
-    for j in range(n_w):
-        prod = f_desc[:, where[j]] * f_desc[:, where[n_w + j]]
-        inner = cumulative_simpson(prod, x=x_desc, initial=0.0) + tails[j]
-        gap = np.sum(gauss_w * f_gap[:, :, where[j]] * f_gap[:, :, where[n_w + j]], axis=1)
-        out[:, j] = scale * (inner[idx] + gap)
+    out = np.empty((len(s_points), n_w))
+    # cols[c] = -cols[n_c - 1 - c], and a block takes whole pairs
+    block = np.minimum(np.arange(n_c), n_c - 1 - np.arange(n_c)) // (_BLOCK_COLUMNS // 2)
+    for b in range(block.max() + 1):
+        members = np.flatnonzero(block == b)
+        f, at_nodes = sweep.run(cols[members], rows)
+        f_gap = _taylor_values(rule, *at_nodes[:, back], cols[members])
+        js = np.flatnonzero(block[where[:n_w]] == b)
+        a, c = np.searchsorted(members, where[js]), np.searchsorted(members, where[n_w + js])
+        prod = f[:, a] * f[:, c]
+        inner = cumulative_simpson(prod.T, x=x_desc, initial=0.0)[:, idx]
+        for j, inner_j, a_j, c_j in zip(js, inner, a, c):
+            gap = np.sum(rule[0] * f_gap[:, :, a_j] * f_gap[:, :, c_j], axis=1)
+            out[:, j] = scale * (inner_j + tails[j] + gap)
     return out
 
 

@@ -25,17 +25,21 @@ EXIT_COMPUTE = 2
 EXIT_VALIDATION = 3
 
 FINITE_N_MAX_ROWS = 4096    # M values of one finite-n grid
+_CSV_BLOCK_ROWS = 1024      # rows formatted per write
 
 
 def write_csv(path, header, rows):
     """Write header and the numeric rows as CSV, numbers as %.17g (the bytes
-    of csv.writer with format(v, ".17g")), in one formatting pass."""
+    of csv.writer with format(v, ".17g")), one formatting pass per block of
+    _CSV_BLOCK_ROWS rows."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[i:i + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
     os.replace(tmp, path)
 
 
@@ -88,7 +92,7 @@ def cmd_marginal(args):
     if not (args.w_step > 0 and args.w_max >= 0):
         raise DomainError("need w_step > 0 and w_max >= 0")
     sol = solve_hastings_mcleod()
-    grid = airy2.build_joint_density_grid(sol, w_max=max(args.w_max, 4.25))
+    grid = airy2.build_joint_density_grid(sol, w_max=max(args.w_max, 4.0))   # the fit reads w <= 4
     ws = np.round(np.arange(0.0, args.w_max + args.w_step / 2, args.w_step), 12)
     pw = airy2.marginal_w(ws, grid)
     fit = np.arange(2.5, 4.001, 0.25)

@@ -132,8 +132,9 @@ def test_profile_value_outside_range_raises(sol):
 @pytest.mark.parametrize("s", [11.0, 12.5, -11.9, np.nan])
 def test_joint_pdf_checks_s_at_entry(sol, monkeypatch, s):
     def no_transport(*a, **k):
-        raise AssertionError("transport_profile called")
+        raise AssertionError("transport called")
     monkeypatch.setattr(airy2, "transport_profile", no_transport)
+    monkeypatch.setattr(airy2, "_Sweep", no_transport)
     with pytest.raises(AirymaxError):
         airy2.joint_pdf(s, 0.5, sol=sol)
 
@@ -194,6 +195,8 @@ def test_w_cap(sol):
         airy2.f_function(0.0, 6.5, sol=sol)
     with pytest.raises(DomainError):
         airy2.transport_profile([7.0], sol)
+    with pytest.raises(DomainError):           # NaN fails the cap too, not a NaN column
+        airy2.transport_profile([0.5, np.nan], sol)
 
 
 def test_formulation_identity():
@@ -238,16 +241,62 @@ def test_grid_large_s_matches_closed_form(joint_grid):
     assert np.all(np.abs(joint_grid.values[rows] / closed - 1.0) <= 1e-4)
 
 
+def _record_sweeps(monkeypatch):
+    """Patch airy2._Sweep to log one list per sweep: the columns of its runs."""
+    sweeps = []
+    sweep = airy2._Sweep
+
+    class Logged(sweep):
+        def __init__(self, *a):
+            super().__init__(*a)
+            sweeps.append([])
+
+        def run(self, w, *a):
+            sweeps[-1].append(sorted(w))
+            return super().run(w, *a)
+
+    monkeypatch.setattr(airy2, "_Sweep", Logged)
+    return sweeps
+
+
 def test_one_transport_per_density_call(sol, monkeypatch):
-    calls = []
-    transport = airy2.transport_profile
-    monkeypatch.setattr(airy2, "transport_profile",
-                        lambda w, *a, **k: calls.append(len(w)) or transport(w, *a, **k))
+    # one step build per call; every +-w column transported once, in blocks
+    # of at most _BLOCK_COLUMNS that keep -w beside w
+    sweeps = _record_sweeps(monkeypatch)
     airy2.build_joint_density_grid(sol, s_lo=-2.0, s_hi=2.0, w_max=1.0, w_step=0.25)
-    assert calls == [9]          # w = 0, +-0.25, ..., +-1: one column each
-    calls.clear()
+    assert sweeps == [[[-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0], [0.0]]]
+    sweeps.clear()
     airy2.joint_pdf(0.3, 0.7, sol=sol)
-    assert calls == [2]
+    assert sweeps == [[[-0.7, 0.7]]]
+    sweeps.clear()
+    airy2.build_joint_density_grid(sol, s_lo=-2.0, s_hi=2.0, w_max=6.0, w_step=0.05)
+    (runs,) = sweeps
+    cols = [w for run in runs for w in run]
+    assert sorted(cols) == sorted(set(cols)) and len(cols) == 241
+    assert all(len(run) <= airy2._BLOCK_COLUMNS and run == sorted(-w for w in run) for run in runs)
+
+
+def test_density_columns_do_not_depend_on_the_call(sol):
+    # one call over a w set (several blocks, the last one partial; repeats,
+    # both signs, an off-lattice s grid) equals one call per w, bit for bit
+    w = np.array([0.0, 0.35, -0.35, 1.2, -2.0, 2.75, 3.25, -4.1, 4.9, 5.5, -6.0, 0.05, 1.2])
+    s = np.round(np.arange(-3.0, 3.0, 0.049), 12)
+    together = airy2._density_columns(w, sol, s)
+    for j, wj in enumerate(w):
+        assert np.array_equal(together[:, j], airy2._density_columns([wj], sol, s)[:, 0]), wj
+
+
+def test_density_grid_memory_bounded(sol):
+    # 241 columns; one transport of all of them peaked at 63 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        airy2.build_joint_density_grid(sol, w_step=0.05)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_marginal_checks_grid_step(joint_grid):
@@ -277,12 +326,9 @@ def test_marginal_symmetry(joint_grid):
 def test_marginal_array_matches_pointwise(joint_grid, monkeypatch):
     ws = np.array([0.5, 2.75, -3.25, 3.0, 3.75, -1.0])   # on- and off-grid
     pointwise = np.array([airy2.marginal_w(w, joint_grid) for w in ws])
-    calls = []
-    transport = airy2.transport_profile
-    monkeypatch.setattr(airy2, "transport_profile",
-                        lambda w, *a, **k: calls.append(len(w)) or transport(w, *a, **k))
+    sweeps = _record_sweeps(monkeypatch)
     batched = airy2.marginal_w(ws, joint_grid)
-    assert calls == [6]   # one transport for the three off-grid +-w pairs
+    assert sweeps == [[[-3.75, -3.25, -2.75, 2.75, 3.25, 3.75]]]   # the off-grid +-w, once
     assert batched.shape == ws.shape
     assert np.all(np.abs(batched - pointwise) <= 1e-13 * np.abs(pointwise))
 
@@ -332,10 +378,8 @@ def test_argmax_marginal_matches_integrated_mfqr(joint_grid, t, tol):
 def test_inner_integral_convergence(sol, monkeypatch):
     # refining the transport leaves P(0, 0.5) unchanged at the 1e-6 level
     base = airy2.joint_pdf(0.0, 0.5, sol=sol)
-    transport = airy2.transport_profile
     with monkeypatch.context() as m:
-        m.setattr(airy2, "transport_profile",
-                  lambda w, sol, **k: transport(w, sol, step=0.00125, **k))
+        m.setattr(airy2, "_STEP", 0.00125)
         fine = airy2.joint_pdf(0.0, 0.5, sol=sol)
     assert fine != base
     assert abs(base - fine) <= 1e-6

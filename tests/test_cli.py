@@ -308,6 +308,34 @@ def test_write_csv_equals_csv_writer(tmp_path, rows):
     assert ours.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("size", ["0", "1", "B-1", "B", "B+1", "2B+1"])
+def test_write_csv_blocks_equal_one_pass(tmp_path, size):
+    # rows written block by block, at the sizes around the block size B, are
+    # the bytes of one csv.writer pass
+    B = cli._CSV_BLOCK_ROWS
+    n = {"0": 0, "1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[size]
+    rows = np.random.default_rng(n).standard_normal((n, 3)) * np.logspace(-300, 300, 3)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    cli.write_csv(str(ours), ["a", "b", "c"], rows)
+    write_csv_reference(str(ref), ["a", "b", "c"], rows)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert ours.read_bytes().count(b"\r\n") == n + 1
+
+
+def test_marginal_transports_no_column_beyond_its_reads(tmp_path, monkeypatch):
+    # the fit reads w <= 4 and the table w <= --w-max; the grid stops there
+    from airymax import airy2
+    widest = []
+    run = airy2._Sweep.run
+    monkeypatch.setattr(airy2._Sweep, "run",
+                        lambda self, w, *a: widest.append(np.max(np.abs(w))) or run(self, w, *a))
+    for argv, w_top in ((["marginal"], 4.0), (["marginal", "--w-max", "3.0"], 4.0),
+                        (["marginal", "--w-max", "4.2"], 4.2)):
+        widest.clear()
+        assert main([*argv, "-o", str(tmp_path / "m.csv")]) == 0
+        assert max(widest) == w_top, argv
+
+
 def test_jpdf_rows_in_grid_order(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["jpdf", "--s-min", "-1", "--s-max", "1", "--s-step", "0.05",
