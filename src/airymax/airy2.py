@@ -285,26 +285,16 @@ class _Sweep:
         """The transport's s nodes, descending from s_hi."""
         return self.s_hi + self.h * np.arange(self.n + 1)
 
-    def run(self, w_arr, rows=None):
-        """(f, f_s, f_ss) of each column of w_arr at the nodes, (3, n + 1,
-        n_cols).  Given rows, ascending node indices, f alone at the nodes,
-        (n + 1, n_cols), and (f, f_s, f_ss) at rows, (3, len(rows), n_cols),
-        each value bitwise the same."""
+    def run(self, w_arr):
+        """(f, f_s, f_ss) of each column of w_arr at the nodes, (3, n + 1, n_cols)."""
         seed = np.array(f_closed(np.array([self.s_hi]), w_arr, derivatives=2))
         h, n_cols = self.h, len(w_arr)
         if h == 0.0:                                   # s_lo = s_hi: the step leaves the seed
-            desc = np.stack([seed, seed], axis=1)
-            return desc if rows is None else (desc[0], desc[:, rows])
+            return np.stack([seed, seed], axis=1)
         n_pad = self.groups[-1][1]
         span = self.groups[0][1]
-        if rows is None:
-            desc = np.empty((3, n_pad + 1, n_cols))    # descending s
-            desc[:, 0] = seed
-        else:
-            f = np.empty((n_pad + 1, n_cols))
-            f[0] = seed[0]
-            at = np.empty((3, len(rows), n_cols))
-            at[:, rows == 0] = seed[:, None]
+        desc = np.empty((3, n_pad + 1, n_cols))        # descending s
+        desc[:, 0] = seed
         scale = np.array([1.0, h / 2.0, h * h / 4.0])
         Y = seed * scale[:, None]
         v_col = (h / 4.0) * w_arr[:, None, None]
@@ -330,18 +320,9 @@ class _Sweep:
             _step_states(np.moveaxis(E, 3, 2)[:, :, :-1], sup, np.moveaxis(starts, 2, 1)[:, 1:])
             states = states_buf[:3 * (k1 - k0) * n_cols].reshape(3, _CHUNK, n_cols, _SUPER, n_super)
             _step_states(S, starts, states)
-            if rows is None:
-                np.divide(states.transpose(0, 4, 3, 1, 2), scale[:, None, None, None, None],
-                          out=desc[:, k0 + 1:k1 + 1].reshape(3, n_super, _SUPER, _CHUNK, n_cols))
-                continue
-            # f unscaled (its scale is 1); the rows k0 < r <= k1 are step r - 1
-            f[k0 + 1:k1 + 1].reshape(n_super, _SUPER, _CHUNK, n_cols)[...] = states[0].transpose(3, 2, 0, 1)
-            sel = np.flatnonzero((rows > k0) & (rows <= k1))
-            j, i, c = np.unravel_index(rows[sel] - 1 - k0, (n_super, _SUPER, _CHUNK))[::-1]
-            at[:, sel] = np.moveaxis(states[:, j, :, i, c], 0, 1) / scale[:, None, None]
-        if rows is None:
-            return desc[:, :self.n + 1]
-        return f[:self.n + 1], at
+            np.divide(states.transpose(0, 4, 3, 1, 2), scale[:, None, None, None, None],
+                      out=desc[:, k0 + 1:k1 + 1].reshape(3, n_super, _SUPER, _CHUNK, n_cols))
+        return desc[:, :self.n + 1]
 
 
 def transport_profile(w_values, sol, s_lo=S_FLOOR, s_hi=S_SEED, step=_STEP):
@@ -455,7 +436,6 @@ def _density_columns(w_values, sol, s_points):
     s_desc = sweep.nodes()
     x_desc = -s_desc                       # ascending in -s, from -S_SEED
     idx = sweep.n - np.searchsorted(s_desc[::-1], s_points - 1e-9)
-    rows, back = np.unique(idx, return_inverse=True)
     rule = _taylor_rule(sol, s_desc[idx], s_points)
     scale = JOINT_PREFACTOR * tracy_widom_f1(s_points, sol)
     tails = _tail_product(w_values)
@@ -464,11 +444,12 @@ def _density_columns(w_values, sol, s_points):
     block = np.minimum(np.arange(n_c), n_c - 1 - np.arange(n_c)) // (_BLOCK_COLUMNS // 2)
     for b in range(block.max() + 1):
         members = np.flatnonzero(block == b)
-        f, at_nodes = sweep.run(cols[members], rows)
-        f_gap = _taylor_values(rule, *at_nodes[:, back], cols[members])
+        desc = sweep.run(cols[members])
+        f_gap = _taylor_values(rule, *desc[:, idx], cols[members])
         js = np.flatnonzero(block[where[:n_w]] == b)
         a, c = np.searchsorted(members, where[js]), np.searchsorted(members, where[n_w + js])
-        prod = f[:, a] * f[:, c]
+        prod = desc[0][:, a] * desc[0][:, c]
+        del desc                           # freed before the next block is transported
         inner = cumulative_simpson(prod.T, x=x_desc, initial=0.0)[:, idx]
         for j, inner_j, a_j, c_j in zip(js, inner, a, c):
             gap = np.sum(rule[0] * f_gap[:, :, a_j] * f_gap[:, :, c_j], axis=1)
@@ -550,7 +531,8 @@ def marginal_w(w, grid):
 
     w is a scalar (returns a float) or a 1-d array (returns an array).
     On-grid columns are read from the grid; every off-grid +-w shares one
-    fresh transport, whose columns are independent of each other.
+    fresh sweep, run in blocks of _BLOCK_COLUMNS columns, each column
+    independent of the others.
     """
     if grid.s_grid[1] - grid.s_grid[0] > 0.05 + 1e-12:
         raise ResolutionError("marginal accuracy requires s_step <= 0.05")

@@ -251,9 +251,9 @@ def _record_sweeps(monkeypatch):
             super().__init__(*a)
             sweeps.append([])
 
-        def run(self, w, *a):
+        def run(self, w):
             sweeps[-1].append(sorted(w))
-            return super().run(w, *a)
+            return super().run(w)
 
     monkeypatch.setattr(airy2, "_Sweep", Logged)
     return sweeps

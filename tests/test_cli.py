@@ -296,10 +296,16 @@ def test_finite_n_refuses_a_grid_above_the_row_ceiling(tmp_path, monkeypatch):
                              ["--m-step", repr(span / cli.FINITE_N_MAX_ROWS)])
 
 
+_B = cli._CSV_BLOCK_ROWS
+
+
 @pytest.mark.parametrize("rows", [
     np.random.default_rng(5).standard_normal((200, 3)) * np.logspace(-300, 300, 3),
     [(0.1, 1, np.float64(-0.0)), (float("inf"), -float("inf"), float("nan")), (1e-320, 2 ** 60, 7.0)],
     [],
+    # around the block size of write_csv
+    *(np.random.default_rng(n).standard_normal((n, 3)) * np.logspace(-300, 300, 3)
+      for n in (1, _B - 1, _B, _B + 1, 2 * _B + 1)),
 ])
 def test_write_csv_equals_csv_writer(tmp_path, rows):
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
@@ -308,27 +314,13 @@ def test_write_csv_equals_csv_writer(tmp_path, rows):
     assert ours.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("size", ["0", "1", "B-1", "B", "B+1", "2B+1"])
-def test_write_csv_blocks_equal_one_pass(tmp_path, size):
-    # rows written block by block, at the sizes around the block size B, are
-    # the bytes of one csv.writer pass
-    B = cli._CSV_BLOCK_ROWS
-    n = {"0": 0, "1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[size]
-    rows = np.random.default_rng(n).standard_normal((n, 3)) * np.logspace(-300, 300, 3)
-    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    cli.write_csv(str(ours), ["a", "b", "c"], rows)
-    write_csv_reference(str(ref), ["a", "b", "c"], rows)
-    assert ours.read_bytes() == ref.read_bytes()
-    assert ours.read_bytes().count(b"\r\n") == n + 1
-
-
 def test_marginal_transports_no_column_beyond_its_reads(tmp_path, monkeypatch):
     # the fit reads w <= 4 and the table w <= --w-max; the grid stops there
     from airymax import airy2
     widest = []
     run = airy2._Sweep.run
     monkeypatch.setattr(airy2._Sweep, "run",
-                        lambda self, w, *a: widest.append(np.max(np.abs(w))) or run(self, w, *a))
+                        lambda self, w: widest.append(np.max(np.abs(w))) or run(self, w))
     for argv, w_top in ((["marginal"], 4.0), (["marginal", "--w-max", "3.0"], 4.0),
                         (["marginal", "--w-max", "4.2"], 4.2)):
         widest.clear()
