@@ -22,7 +22,7 @@ def main():
             fh.write(f"{v},{tracy_widom_f1(v, sol):.17g},{f1_fredholm(v):.17g}\n")
 
     t = np.round(np.arange(0.0, 1.8001, 0.05), 10)
-    density = airy2.argmax_marginal(t, grid)
+    density = airy2.argmax_marginal(t, sol)
     with open("out/endpoint_marginal.csv", "w") as fh:
         fh.write("t,density\n")
         for v, d in zip(t, density):

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Time airy2.transport_profile and build_joint_density_grid at the column
-counts the benchmark's workloads use, best of 7, with the tracemalloc peak of
-one more call beside each time, and print one JSON line.
+"""Time airy2.transport_profile, build_joint_density_grid and marginal_w at
+the column counts the benchmark's workloads use, best of 7, with the
+tracemalloc peak of one more call beside each time, and print one JSON line.
 
     PYTHONPATH=src python3 scripts/time_transport.py
 
 Keys "cols_<k>" are k-column transports down to s = -10, the depth of the
-default density grid: 49 (jpdf), 85 (marginal), 6 (its off-grid fit points)
-and 121 (the validation grid).  "cols_<k>_s0.3" are the one- and two-column
-transports of the pointwise queries, down to s = 0.3.  "grid_<k>" are the
-default density grids of k columns: w_step 0.25 (jpdf), 0.1 (validation) and
-0.05.  Each "<key>_mb" is the peak traced allocation of one call above what
-was allocated before it, in MB (1e6 bytes).
+default density grid: 49 (jpdf), 85 (|w| <= 4.2 by 0.1), 6 (+-2.75, 3.25
+and 3.75) and 121 (the validation grid).  "cols_<k>_s0.3" are the one- and
+two-column transports of the pointwise queries, down to s = 0.3.
+"grid_<k>" are the default density grids of k columns: w_step 0.25 (jpdf),
+0.1 (validation) and 0.05.  "marginal_48" is marginal_w at the 48 w that
+`airymax marginal` reads at its defaults: its table, 0 to 4 by 0.1, and its
+fit points, 2.5 to 4 by 0.25 (87 distinct +-w columns).  Each "<key>_mb" is
+the peak traced allocation of one call above what was allocated before it,
+in MB (1e6 bytes).
 """
 
 import json
@@ -37,6 +40,8 @@ COLUMNS = {
     121: _pm(np.arange(0.0, 6.0 + 0.05, 0.1)),
 }
 GRID_W_STEPS = {49: 0.25, 121: 0.1, 241: 0.05}
+MARGINAL_W = np.concatenate([np.round(np.arange(0.0, 4.0 + 0.05, 0.1), 12),
+                             np.arange(2.5, 4.001, 0.25)])
 REPEATS = 7
 
 
@@ -67,6 +72,7 @@ def main():
         cases[f"cols_{k}_s0.3"] = lambda w=COLUMNS[k]: airy2.transport_profile(w, sol, s_lo=0.3)
     for k, w_step in GRID_W_STEPS.items():
         cases[f"grid_{k}"] = lambda w_step=w_step: airy2.build_joint_density_grid(sol, w_step=w_step)
+    cases["marginal_48"] = lambda: airy2.marginal_w(MARGINAL_W, sol)
     out = {}
     for key, call in cases.items():
         out[key] = round(best_of(call), 5)

@@ -18,7 +18,7 @@ cross-checks and the third-order ODE residual of the acceptance suite run
 on it.
 
 P(s, w) has one assembly, _density_columns, behind joint_pdf, the density
-grid and the off-grid marginals.  It builds the transport's steps once,
+grid and the marginal P(w).  It builds the transport's steps once,
 down to the lowest s wanted, and transports the +-w columns through them
 in blocks of a fixed number of columns, so its memory does not grow with
 the number of w.  Each block accumulates int_s^inf f(x, w) f(x, -w) dx
@@ -27,7 +27,8 @@ The tail is in closed form: the exponentials of f_closed(x, w) and
 f_closed(x, -w) cancel, which leaves the Airy primitive of
 joint_pdf_large_s.  Accumulating from the small end keeps the relative
 accuracy of the small densities at large s and |w|, which a
-total-minus-prefix sum loses to cancellation.
+total-minus-prefix sum loses to cancellation.  P(w) reads its columns on
+one fixed s grid, -10 to 8 by 0.05, and adds the closed large-s tail.
 
 The transport is classical RK4.  The ODE is linear, so each step is a 3x3
 matrix per column that is known before the sweep, and A(s, w) is linear in
@@ -38,11 +39,11 @@ rule.  The states come from a work-efficient two-pass scan (Blelloch,
 The tests keep the step-by-step loop as an oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MisconfigurationError, RangeError, ResolutionError
+from .errors import DomainError, MisconfigurationError, RangeError
 from .painleve import tracy_widom_f1
 from .special import airy_both, cumulative_simpson, legendre_nodes, simpson
 
@@ -119,6 +120,7 @@ _CHUNK = 16                 # steps per chunk of the scan
 _SUPER = 8                  # chunks per superchunk; both fixed, so no column depends on the others
 _GROUP_ELEMENTS = 2 ** 15   # column-steps of the superchunks scanned together
 _BLOCK_COLUMNS = 8          # columns transported together for P(s, w)
+_MARGINAL_S = np.round(np.arange(-10.0, 8.0 + 0.05 / 2, 0.05), 12)   # the s grid of marginal_w
 _EYE = ((1.0,), (), (), (), (1.0,), (), (), (), (1.0,))
 
 
@@ -439,7 +441,7 @@ def _density_columns(w_values, sol, s_points):
     rule = _taylor_rule(sol, s_desc[idx], s_points)
     scale = JOINT_PREFACTOR * tracy_widom_f1(s_points, sol)
     tails = _tail_product(w_values)
-    out = np.empty((len(s_points), n_w))
+    out = np.empty((len(s_points), n_w), order="F")   # a sum over s: one contiguous run per column
     # cols[c] = -cols[n_c - 1 - c], and a block takes whole pairs
     block = np.minimum(np.arange(n_c), n_c - 1 - np.arange(n_c)) // (_BLOCK_COLUMNS // 2)
     for b in range(block.max() + 1):
@@ -497,13 +499,19 @@ def joint_pdf_large_s(s, w):
 
 @dataclass(frozen=True)
 class JointDensityGrid:
-    """P(s, w) samples on a product grid, with the solution they came from."""
+    """P(s, w) samples on a product grid."""
 
     s_grid: np.ndarray
     w_grid: np.ndarray
     values: np.ndarray                 # (n_s, n_w)
     normalization_estimate: float
-    painleve: object = field(repr=False, compare=False)
+
+
+def _check_s_span(sol, s_lo, s_hi):
+    """RangeError unless s_min + 0.5 <= s_lo and s_hi <= min(s_max - 2, S_SEED)."""
+    s_top = min(sol.s_max - 2.0, S_SEED)
+    if not (sol.s_min + 0.5 <= s_lo and s_hi <= s_top):
+        raise RangeError(f"s range [{s_lo}, {s_hi}] outside [{sol.s_min + 0.5}, {s_top}]")
 
 
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
@@ -511,11 +519,7 @@ def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
     """Tabulate P(s, w) on a product grid; w covers [-w_max, w_max]."""
     if not (s_step > 0.0 and w_step > 0.0 and s_lo < s_hi and 0.0 <= w_max <= W_CAP):
         raise DomainError(f"need s_step > 0, w_step > 0, s_lo < s_hi and 0 <= w_max <= {W_CAP}")
-    s_top = min(sol.s_max - 2.0, S_SEED)
-    if not (sol.s_min + 0.5 <= s_lo and s_hi <= s_top):
-        raise RangeError(f"s range [{s_lo}, {s_hi}] outside [{sol.s_min + 0.5}, {s_top}]")
-    if s_step > 0.05 + 1e-12:
-        raise ResolutionError("marginal accuracy requires s_step <= 0.05")
+    _check_s_span(sol, s_lo, s_hi)
     w_pos = np.round(np.arange(0.0, w_max + w_step / 2, w_step), 12)
     s_grid = np.round(np.arange(s_lo, s_hi + s_step / 2, s_step), 12)
     w_grid = np.concatenate([-w_pos[:0:-1], w_pos])
@@ -523,41 +527,28 @@ def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
     values = np.concatenate([half[:, :0:-1], half], axis=1)
     norm = float(simpson(simpson(values, x=s_grid, axis=0), x=w_grid))
     return JointDensityGrid(s_grid=s_grid, w_grid=w_grid, values=values,
-                            normalization_estimate=norm, painleve=sol)
+                            normalization_estimate=norm)
 
 
-def marginal_w(w, grid):
-    """P(w) = int P(s, w) ds over the grid plus the large-s analytic tail.
-
-    w is a scalar (returns a float) or a 1-d array (returns an array).
-    On-grid columns are read from the grid; every off-grid +-w shares one
-    fresh sweep, run in blocks of _BLOCK_COLUMNS columns, each column
-    independent of the others.
-    """
-    if grid.s_grid[1] - grid.s_grid[0] > 0.05 + 1e-12:
-        raise ResolutionError("marginal accuracy requires s_step <= 0.05")
+def marginal_w(w, sol):
+    """P(w) = int P(s, w) ds: Simpson's rule over s from -10 to 8 by 0.05,
+    plus the closed large-s form integrated over [8, 18].  w is a scalar
+    (returns a float) or a 1-d array (returns an array); its +-w share one
+    sweep, and each value is bitwise the same whatever else shares the call."""
+    _check_s_span(sol, _MARGINAL_S[0], _MARGINAL_S[-1])
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    j = np.abs(grid.w_grid[None, :] - w_arr[:, None]).argmin(axis=1)
-    on = np.abs(grid.w_grid[j] - w_arr) <= 1e-9
-    core = np.empty(len(w_arr))
-    core[on] = simpson(grid.values[:, j[on]], x=grid.s_grid, axis=0)
-    off = w_arr[~on]
-    if len(off):
-        core[~on] = simpson(_density_columns(off, grid.painleve, grid.s_grid),
-                            x=grid.s_grid, axis=0)
-    s_tail = np.linspace(grid.s_grid[-1], grid.s_grid[-1] + 10.0, 801)
-    tail = [simpson(joint_pdf_large_s(s_tail, abs(wi)), x=s_tail) for wi in w_arr]
-    out = core + np.array(tail)
+    core = simpson(_density_columns(w_arr, sol, _MARGINAL_S), x=_MARGINAL_S, axis=0)
+    s_tail = np.linspace(_MARGINAL_S[-1], _MARGINAL_S[-1] + 10.0, 801)
+    out = core + simpson(joint_pdf_large_s(s_tail, np.abs(w_arr)[:, None]), x=s_tail)
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
-def airy2_jpdf(m, t, psi=None, sol=None):
+def airy2_jpdf(m, t, sol):
     """Joint density of (max, argmax) of the Airy2 process minus a parabola:
-    hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t), by joint_pdf with sol (or
-    psi.painleve)."""
-    return 4.0 * joint_pdf(TWO_23 * m, TWO_43 * t, psi, sol=sol)
+    hat-P(m, t) = 4 P(2^{2/3} m, 2^{4/3} t), by joint_pdf."""
+    return 4.0 * joint_pdf(TWO_23 * m, TWO_43 * t, sol=sol)
 
 
-def argmax_marginal(t, grid):
+def argmax_marginal(t, sol):
     """hat-P(t) = 2^{4/3} P_w(2^{4/3} t)."""
-    return TWO_43 * marginal_w(TWO_43 * t, grid)
+    return TWO_43 * marginal_w(TWO_43 * t, sol)

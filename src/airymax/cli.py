@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -89,14 +90,12 @@ def cmd_jpdf(args):
 
 
 def cmd_marginal(args):
-    if not (args.w_step > 0 and args.w_max >= 0):
-        raise DomainError("need w_step > 0 and w_max >= 0")
-    sol = solve_hastings_mcleod()
-    grid = airy2.build_joint_density_grid(sol, w_max=max(args.w_max, 4.0))   # the fit reads w <= 4
+    if not (0 < args.w_step < math.inf and 0 <= args.w_max <= airy2.W_CAP):
+        raise DomainError(f"need finite w_step > 0 and 0 <= w_max <= {airy2.W_CAP}")
     ws = np.round(np.arange(0.0, args.w_max + args.w_step / 2, args.w_step), 12)
-    pw = airy2.marginal_w(ws, grid)
     fit = np.arange(2.5, 4.001, 0.25)
-    pf = airy2.marginal_w(fit, grid)
+    pw, pf = np.split(airy2.marginal_w(np.concatenate([ws, fit]), solve_hastings_mcleod()),
+                      [len(ws)])
     slope = float(np.polyfit(fit ** 3, -np.log(pf), 1)[0])
     rows = list(zip(ws, pw))
     _emit(args, ["w", "marginal_density"], rows,
@@ -218,10 +217,20 @@ def _emit(args, header, rows, column_doc):
         write_json(out, [dict(zip(header, map(float, r))) for r in rows], column_doc)
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse takes a token starting with '-' for an option unless it is a
+    # plain decimal like -6.5, so "--s-min -1e0" or "-inf" was refused; here
+    # every negative float literal is a value, in the subcommands too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="airymax",
-                                description="extreme-value laws of non-intersecting "
-                                            "Brownian excursions and the Airy2 endpoint")
+    p = _Parser(prog="airymax",
+                description="extreme-value laws of non-intersecting "
+                            "Brownian excursions and the Airy2 endpoint")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

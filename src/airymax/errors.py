@@ -37,10 +37,6 @@ class TailRegularizationError(AirymaxError):
         super().__init__(message or f"regularized extrapolation did not converge: {self.diagnostics}")
 
 
-class ResolutionError(AirymaxError):
-    """A grid is too coarse for the requested operation."""
-
-
 class MisconfigurationError(AirymaxError):
     """Inconsistent configuration detected before or during a computation."""
 

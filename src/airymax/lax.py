@@ -311,13 +311,13 @@ def recover_matching_constant(sol):
     return float(np.sqrt(np.pi) * dnum / dclo)
 
 
-def tail_analysis(sol, grid):
+def tail_analysis(sol):
     """Tail constants of the marginal and the predicted right-tail curve.
 
     C is recovered numerically from the x -> infinity matching; D, c-tilde and
     C-tilde follow from the q-integral formulas.  Returns (constants, report)
-    where the report compares the measured marginal against the predicted
-    envelope on w in [3, 4].
+    where the report compares the marginal P(w) of the solution (marginal_w)
+    against the predicted envelope at w = 3, 3.5 and 4.
     """
     z_neg = np.linspace(sol.s_min, 0.0, 2401)
     z_pos = np.linspace(0.0, sol.s_max, 2401)
@@ -331,6 +331,7 @@ def tail_analysis(sol, grid):
     c_tilde = 2.0 ** 4.5 / np.pi ** 3 * k_int
     C_tilde = 2.0 ** (-7.0 / 6.0) / np.pi * f1_0 * k_int
     constants = TailConstants(C=C, D=D, c_tilde=c_tilde, C_tilde=C_tilde)
-    report = {w: marginal_w(w, grid) / float(constants.predicted_right_tail(w))
-              for w in (3.0, 3.5, 4.0)}
+    ws = (3.0, 3.5, 4.0)
+    report = {w: p / float(constants.predicted_right_tail(w))
+              for w, p in zip(ws, marginal_w(np.array(ws), sol))}
     return constants, report

@@ -194,13 +194,13 @@ def criterion_6_mfqr(ctx):
 
 @_timed
 def criterion_7_tails(ctx):
-    grid = ctx["grid"]
+    sol = ctx["sol"]
     ws = np.arange(2.5, 4.001, 0.25)
-    pw = airy2.marginal_w(ws, grid)
+    pw = airy2.marginal_w(ws, sol)
     coef = np.polyfit(ws ** 3, -np.log(pw), 1)[0]
     ratio_w = coef * 12.0
     ts = np.arange(1.0, 1.6001, 0.1)
-    pt = airy2.argmax_marginal(ts, grid)
+    pt = airy2.argmax_marginal(ts, sol)
     coef_t = np.polyfit(ts ** 3, -np.log(pt), 1)[0]
     ratio_t = coef_t / (4.0 / 3.0)
     ok = abs(ratio_w - 1.0) <= 0.15 and abs(ratio_t - 1.0) <= 0.15
@@ -323,7 +323,8 @@ ALL_CRITERIA = [
 
 
 def build_context(mc_samples=100000):
-    """Shared heavyweight objects for the criteria."""
+    """Shared heavyweight objects for the criteria: the Hastings-McLeod
+    solution and the default P(s, w) grid, which criterion 5 reads."""
     from .painleve import solve_hastings_mcleod
     sol = solve_hastings_mcleod()
     grid = airy2.build_joint_density_grid(sol)

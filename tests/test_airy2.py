@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from airymax import airy2, fredholm, lax, special
-from airymax.errors import (AirymaxError, DomainError, MisconfigurationError, RangeError,
-                            ResolutionError)
+from airymax.errors import AirymaxError, DomainError, MisconfigurationError, RangeError
 from airymax.special import airy_ai_prime
 
 from _oracles import transport_profile_sequential
@@ -299,14 +298,6 @@ def test_density_grid_memory_bounded(sol):
     assert peak <= 16e6
 
 
-def test_marginal_checks_grid_step(joint_grid):
-    coarse = airy2.JointDensityGrid(s_grid=joint_grid.s_grid[::2], w_grid=joint_grid.w_grid,
-                                    values=joint_grid.values[::2], normalization_estimate=1.0,
-                                    painleve=joint_grid.painleve)
-    with pytest.raises(ResolutionError):
-        airy2.marginal_w(0.5, coarse)
-
-
 def test_grid_normalization(joint_grid):
     assert 0.99 <= joint_grid.normalization_estimate <= 1.01
 
@@ -317,33 +308,56 @@ def test_large_s_factorized_limit(sol):
         assert airy2.joint_pdf(s, w, sol=sol) == pytest.approx(closed, rel=1e-2)
 
 
-def test_marginal_symmetry(joint_grid):
+def test_marginal_symmetry(sol):
     for w in (0.5, 1.0, 2.0):
-        assert airy2.marginal_w(w, joint_grid) == pytest.approx(
-            airy2.marginal_w(-w, joint_grid), rel=1e-12)
+        assert airy2.marginal_w(w, sol) == pytest.approx(airy2.marginal_w(-w, sol), rel=1e-12)
 
 
-def test_marginal_array_matches_pointwise(joint_grid, monkeypatch):
-    ws = np.array([0.5, 2.75, -3.25, 3.0, 3.75, -1.0])   # on- and off-grid
-    pointwise = np.array([airy2.marginal_w(w, joint_grid) for w in ws])
+def test_marginal_array_matches_pointwise(sol, monkeypatch):
+    # on and off the 0.1 lattice, with a repeat: one sweep per call, every
+    # +-w once, and each value bitwise what a call of its own gives (the
+    # grid-read and the transported values were summed in different orders)
+    ws = np.array([0.5, 2.75, -3.25, 3.0, 3.75, -1.0, 0.5])
     sweeps = _record_sweeps(monkeypatch)
-    batched = airy2.marginal_w(ws, joint_grid)
-    assert sweeps == [[[-3.75, -3.25, -2.75, 2.75, 3.25, 3.75]]]   # the off-grid +-w, once
+    pointwise = []
+    for w in ws:
+        pointwise.append(airy2.marginal_w(w, sol))
+        assert len(sweeps[-1]) == 1 and sorted(sweeps[-1][0]) == sorted({w, -w})
+    sweeps.clear()
+    batched = airy2.marginal_w(ws, sol)
+    (runs,) = sweeps
+    assert sorted(w for run in runs for w in run) == sorted({*ws, *-ws})
     assert batched.shape == ws.shape
-    assert np.all(np.abs(batched - pointwise) <= 1e-13 * np.abs(pointwise))
+    assert np.array_equal(batched, pointwise)
 
 
-def test_marginal_normalization(joint_grid):
+def test_marginal_checks_the_solution_range_at_entry(monkeypatch):
+    # a solution too narrow for s in [-10, 8] is refused before any sweep
+    from airymax.painleve import solve_hastings_mcleod
+    narrow = [solve_hastings_mcleod(s_min=-8.0), solve_hastings_mcleod(s_max=9.0)]
+
+    def no_sweep(*a, **k):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(airy2, "_Sweep", no_sweep)
+    for sol in narrow:
+        with pytest.raises(RangeError):
+            airy2.marginal_w(0.5, sol)
+        with pytest.raises(RangeError):
+            airy2.argmax_marginal(np.array([0.5, 1.0]), sol)
+
+
+def test_marginal_normalization(sol):
     from scipy.integrate import simpson
-    ws = joint_grid.w_grid
-    pw = np.array([airy2.marginal_w(w, joint_grid) for w in ws])
-    total = simpson(pw, x=ws)
+    w_pos = np.round(np.arange(0.0, 6.05, 0.1), 12)
+    ws = np.concatenate([-w_pos[:0:-1], w_pos])
+    total = simpson(airy2.marginal_w(ws, sol), x=ws)
     assert 0.99 <= total <= 1.005
 
 
-def test_marginal_tail_slope(joint_grid):
+def test_marginal_tail_slope(sol):
     ws = np.arange(2.5, 4.001, 0.25)
-    pw = airy2.marginal_w(ws, joint_grid)
+    pw = airy2.marginal_w(ws, sol)
     slope = np.polyfit(ws ** 3, -np.log(pw), 1)[0]
     assert 0.85 / 12.0 <= slope <= 1.15 / 12.0
 
@@ -358,21 +372,21 @@ def test_airy2_jpdf_symmetry_in_t(sol):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_argmax_marginal_tail(joint_grid):
+def test_argmax_marginal_tail(sol):
     ts = np.arange(1.0, 1.6001, 0.1)
-    pt = airy2.argmax_marginal(ts, joint_grid)
+    pt = airy2.argmax_marginal(ts, sol)
     slope = np.polyfit(ts ** 3, -np.log(pt), 1)[0]
     assert abs(slope / (4.0 / 3.0) - 1.0) <= 0.15
 
 
 @pytest.mark.parametrize("t, tol", [(1.0, 2e-6), (1.5, 1e-5), (2.0, 5e-5)])
-def test_argmax_marginal_matches_integrated_mfqr(joint_grid, t, tol):
+def test_argmax_marginal_matches_integrated_mfqr(sol, t, tol):
     # the resolvent density integrated over m in [-4, 5] by a 30-point Gauss
     # rule (40 and 60 points move it by < 1e-13 relative); the gaps measured
     # with scipy's Airy below x = 10 were 8.2e-7, 3.7e-6 and 2.4e-5 relative
     rule = special.gauss_legendre_rule(-4.0, 5.0, 30)
     ref = rule.weights @ np.array([fredholm.mfqr_jpdf(m, t) for m in rule.nodes])
-    assert abs(airy2.argmax_marginal(t, joint_grid) / ref - 1.0) <= tol
+    assert abs(airy2.argmax_marginal(t, sol) / ref - 1.0) <= tol
 
 
 def test_inner_integral_convergence(sol, monkeypatch):
@@ -408,8 +422,8 @@ def test_tail_product_against_mpmath_quadrature(w):
         assert abs(float(airy2._tail_product(v)) / float(ref) - 1.0) <= 1e-12
 
 
-def test_tail_constants(sol, joint_grid):
-    const, report = lax.tail_analysis(sol, joint_grid)
+def test_tail_constants(sol):
+    const, report = lax.tail_analysis(sol)
     assert const.C == pytest.approx(np.sqrt(np.pi), abs=1e-6)
     assert const.D > 0.0
     assert const.c_tilde > 0.0 and const.C_tilde > 0.0
@@ -420,8 +434,8 @@ def test_tail_constants(sol, joint_grid):
                    reason="the leading-order right-tail envelope underestimates the "
                           "measured marginal by a large structural factor on w in "
                           "[3, 4]; see the decisions ledger")
-def test_tail_envelope_band(sol, joint_grid):
-    const, report = lax.tail_analysis(sol, joint_grid)
+def test_tail_envelope_band(sol):
+    const, report = lax.tail_analysis(sol)
     assert all(0.5 <= r <= 2.0 for r in report.values())
 
 
@@ -430,5 +444,3 @@ def test_joint_pdf_needs_a_solution():
         airy2.f_function(0.0, 0.5)
     with pytest.raises(MisconfigurationError):
         airy2.joint_pdf(0.0, 0.5)
-    with pytest.raises(MisconfigurationError):
-        airy2.airy2_jpdf(0.0, 0.5)

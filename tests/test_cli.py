@@ -38,14 +38,26 @@ def _no_work(*args, **kwargs):
 
 @pytest.mark.parametrize("flag,value", [("--s-min", "-inf"), ("--s-max", "inf"),
                                         ("--step", "nan")])
-def test_tw_f1_refuses_nonfinite_range(tmp_path, monkeypatch, flag, value):
+def test_tw_f1_refuses_nonfinite_range(tmp_path, monkeypatch, capsys, flag, value):
     # these exited 2 with numpy's "arange: cannot compute length" or
-    # "Maximum allowed size exceeded"; "--s-min -inf" would be refused by
-    # argparse, which reads -inf as an option
+    # "Maximum allowed size exceeded"; as a separate token, -inf reaches the
+    # same check (argparse read it as an option)
     monkeypatch.setattr(cli, "solve_hastings_mcleod", _no_work)
     out = tmp_path / "tw.csv"
-    assert main(["tw-f1", f"{flag}={value}", "-o", str(out)]) == 1
+    for argv in ([f"{flag}={value}"], [flag, value]):
+        assert main(["tw-f1", *argv, "-o", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err, argv
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    (["tw-f1", "--s-min", "-1e0"], "s_min", -1.0), (["tw-f1", "--s-min", "-inf"], "s_min", -np.inf),
+    (["jpdf", "--s-min", "-1e1"], "s_min", -10.0), (["jpdf", "--s-min", "-.5e-3"], "s_min", -5e-4),
+    (["finite-n", "--m-min", "-1e0"], "m_min", -1.0),
+])
+def test_negative_exponent_values_parse(argv, dest, value):
+    # only the --s-min=-1e0 form parsed: argparse took -1e0 and -inf for options
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
 
 
 @pytest.mark.parametrize("command", ["jpdf", "marginal"])
@@ -314,8 +326,44 @@ def test_write_csv_equals_csv_writer(tmp_path, rows):
     assert ours.read_bytes() == ref.read_bytes()
 
 
+def test_option_still_refused_as_a_value():
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["tw-f1", "--s-min", "-o"])
+
+
+def test_marginal_transports_its_reads_once(tmp_path, monkeypatch):
+    # the table's +-w and the fit's +-w (2.5 to 4 by 0.25), 23 columns, in
+    # one sweep; the parent built an 81-column grid, then swept the fit again
+    from airymax import airy2
+    sweeps = []
+    sweep = airy2._Sweep
+
+    class Logged(sweep):
+        def __init__(self, *a):
+            super().__init__(*a)
+            sweeps.append([])
+
+        def run(self, w):
+            sweeps[-1].extend(w)
+            return super().run(w)
+
+    monkeypatch.setattr(airy2, "_Sweep", Logged)
+    assert main(["marginal", "--w-max", "2", "--w-step", "0.5", "-o", str(tmp_path / "m.csv")]) == 0
+    (cols,) = sweeps
+    reads = np.r_[np.arange(0.0, 2.1, 0.5), np.arange(2.5, 4.001, 0.25)]
+    assert sorted(cols) == sorted({*reads, *-reads}) and len(cols) == 23
+
+
+def test_marginal_builds_no_density_grid(tmp_path, monkeypatch):
+    from airymax import airy2
+    monkeypatch.setattr(airy2, "build_joint_density_grid", _no_work)
+    out = tmp_path / "m.csv"
+    assert main(["marginal", "--w-max", "1", "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 12
+
+
 def test_marginal_transports_no_column_beyond_its_reads(tmp_path, monkeypatch):
-    # the fit reads w <= 4 and the table w <= --w-max; the grid stops there
+    # the fit reads w <= 4 and the table w <= --w-max; the sweep stops there
     from airymax import airy2
     widest = []
     run = airy2._Sweep.run
