@@ -6,12 +6,13 @@
 "chunk_n1", "chunk_n2" and "chunk_n3" are the `sample_ensemble` chunks of
 the benchmark's monte_carlo workload: N = 1 at 10,000 steps x 500 draws,
 N = 2 at 8,000 x 60 and N = 3 at 2,000 x 20 (every N = 3 draw is NaN today,
-so that chunk is timed up to its PrecisionError).  "per_1000_n1" and
-"per_1000_n2" are 1,000 draws at the steps of the Monte-Carlo criterion
+so that chunk is timed up to its PrecisionError).  All three run the one
+matrix sampler, at dimension 3, 5 and 7.  "per_1000_n1" and "per_1000_n2"
+are 1,000 draws at the steps of the Monte-Carlo criterion
 (validation.criterion_12_mc_oracle), N = 1 at 10,000 and N = 2 at 8,000.
-"refined_n2" is the share of coarse windows the N = 2 criterion draws
-refine, and "miss_bound_n2" their miss bound (PathEnsemble; null where
-the sampler does not report them).
+"refined_n1" and "refined_n2" are the shares of coarse windows those
+criterion draws refine, and "miss_bound_n1" and "miss_bound_n2" their miss
+bounds (PathEnsemble).
 """
 
 import argparse
@@ -46,9 +47,10 @@ def main():
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args()
     out = {name: best_of(args.repeats, lambda a=a: draw(*a, seed=11)) for name, a in CHUNKS.items()}
-    ens = draw(*CHUNKS["per_1000_n2"], seed=11)
-    out["refined_n2"] = getattr(ens, "refined_fraction", None)
-    out["miss_bound_n2"] = getattr(ens, "miss_bound", None)
+    for N in (1, 2):
+        ens = draw(*CHUNKS[f"per_1000_n{N}"], seed=11)
+        out[f"refined_n{N}"] = ens.refined_fraction
+        out[f"miss_bound_n{N}"] = ens.miss_bound
     print(json.dumps(out))
 
 

@@ -39,6 +39,7 @@ rule.  The states come from a work-efficient two-pass scan (Blelloch,
 The tests keep the step-by-step loop as an oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -514,13 +515,24 @@ def _check_s_span(sol, s_lo, s_hi):
         raise RangeError(f"s range [{s_lo}, {s_hi}] outside [{sol.s_min + 0.5}, {s_top}]")
 
 
+def w_points(w_max, w_step):
+    """0, w_step, 2 w_step, ... rounded to 12 digits, up to w_max and never
+    past it (a point within 1e-12 relative of w_max is w_max); DomainError
+    unless w_step is finite and positive and 0 <= w_max <= W_CAP."""
+    if not (0.0 < w_step < math.inf and 0.0 <= w_max <= W_CAP):
+        raise DomainError(f"need finite w_step > 0 and 0 <= w_max <= {W_CAP}")
+    n = math.floor(w_max / w_step * (1.0 + 1e-12)) + 1
+    return np.minimum(np.round(np.arange(n) * w_step, 12), w_max)
+
+
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
                              w_max=6.0, w_step=0.1):
-    """Tabulate P(s, w) on a product grid; w covers [-w_max, w_max]."""
-    if not (s_step > 0.0 and w_step > 0.0 and s_lo < s_hi and 0.0 <= w_max <= W_CAP):
-        raise DomainError(f"need s_step > 0, w_step > 0, s_lo < s_hi and 0 <= w_max <= {W_CAP}")
+    """Tabulate P(s, w) on a product grid; w covers [-w_max, w_max] by
+    w_points."""
+    w_pos = w_points(w_max, w_step)
+    if not (s_step > 0.0 and s_lo < s_hi):
+        raise DomainError("need s_step > 0 and s_lo < s_hi")
     _check_s_span(sol, s_lo, s_hi)
-    w_pos = np.round(np.arange(0.0, w_max + w_step / 2, w_step), 12)
     s_grid = np.round(np.arange(s_lo, s_hi + s_step / 2, s_step), 12)
     w_grid = np.concatenate([-w_pos[:0:-1], w_pos])
     half = _density_columns(w_pos, sol, s_grid)

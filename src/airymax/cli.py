@@ -90,9 +90,7 @@ def cmd_jpdf(args):
 
 
 def cmd_marginal(args):
-    if not (0 < args.w_step < math.inf and 0 <= args.w_max <= airy2.W_CAP):
-        raise DomainError(f"need finite w_step > 0 and 0 <= w_max <= {airy2.W_CAP}")
-    ws = np.round(np.arange(0.0, args.w_max + args.w_step / 2, args.w_step), 12)
+    ws = airy2.w_points(args.w_max, args.w_step)
     fit = np.arange(2.5, 4.001, 0.25)
     pw, pf = np.split(airy2.marginal_w(np.concatenate([ws, fit]), solve_hastings_mcleod()),
                       [len(ws)])

@@ -1,29 +1,17 @@
 """Monte-Carlo sampler of N = 1, 2, 3 non-intersecting Brownian excursions
 on [0, 1], and the exact finite-N marginals it is tested against.
 
-A single excursion is generated by the cycle-shift construction: a Brownian
-bridge rotated at its minimum is an excursion in law (Vervaat).  On the
-grid, the rotated walk is exactly a Gaussian random-walk excursion, by the
-cycle lemma applied to the exchangeable increments, but not a sampled
-Brownian excursion: its maximum is the bridge's discrete range, which
-misses the continuous range by about 2 beta sqrt(dt), beta ~ 0.5826 (the
-discrete-monitoring shift of Broadie-Glasserman-Kou at each end).  Each
-N = 1 draw builds its whole fine path from its own stream, as before the
-matrix sampler went coarse to fine: the rotation needs the bridge's
-minimum as well as its maximum, and that monitoring bias already takes
-most of the N = 1 KS tolerance of the Monte-Carlo criterion, so new
-streams would re-draw a margin that only a bias correction can widen.
-
-For N = 2, 3 the sampler uses an exact-in-law matrix realization: the
-ordered positive eigenvalues of a (2N+1) x (2N+1) real antisymmetric matrix
-whose entries are independent scalar Brownian bridges evolve as N
-non-intersecting excursions (Katori-Tanemura, J. Math. Phys. 45, 2004; for
-N = 1 this is the classical |3-d Brownian bridge| = excursion identity; the
-fixed-time eigenvalue density reproduces the prod x^2 * Vandermonde(x^2)^2
-slice law).  The squared eigenvalues are the roots of a polynomial whose
-k-th coefficient sums the squared Pfaffians of the 2k x 2k principal
-blocks; one recursion builds every Pfaffian from those two sizes smaller,
-along its first row, at each grid time.
+The sampler uses an exact-in-law matrix realization: the ordered positive
+eigenvalues of a (2N+1) x (2N+1) real antisymmetric matrix whose entries
+are independent scalar Brownian bridges evolve as N non-intersecting
+excursions (Katori-Tanemura, J. Math. Phys. 45, 2004; for N = 1 this is the
+classical |3-d Brownian bridge| = excursion identity; the fixed-time
+eigenvalue density reproduces the prod x^2 * Vandermonde(x^2)^2 slice
+law).  For N = 1 the top eigenvalue is the norm of the three entries.  For
+N = 2, 3 the squared eigenvalues are the roots of a polynomial whose k-th
+coefficient sums the squared Pfaffians of the 2k x 2k principal blocks;
+one recursion builds every Pfaffian from those two sizes smaller, along its
+first row, at each grid time.
 
 Only the windows near the top path's maximum decide (M, tau_M), so the
 matrix path is sampled coarse to fine.  Every entry is drawn at about
@@ -31,8 +19,10 @@ sqrt(60 steps) coarse points first.  The top eigenvalue is the spectral
 norm, so along a window it is at most the larger of its end values plus
 the norm of the entries' bridge deviations from their linear interpolation
 (_select_windows).  A window is filled in at the fine steps only where that
-bound could reach the coarse maximum, except with probability 1e-12; the
-other windows' bounds add up to the miss bound each ensemble reports.
+bound could reach the coarse maximum, except with probability 1e-12 (a
+gap of sqrt(y* T) on a window of duration T, y* = 16.9, 21.7 and 27.8 for
+N = 1, 2, 3); the other windows' bounds add up to the miss bound each
+ensemble reports.
 
 Randomness is counter-based: sample i draws from Philox keyed by (seed, i),
 so results are reproducible and independent of batching order.
@@ -80,8 +70,8 @@ class PathEnsemble:
     acceptance_rate: float       # 1.0: every draw is accepted
     attempts: int = 0
     # bound on the chance that some draw's maximum lies in a window the
-    # sampler did not refine, and the share of windows it refined: 0 and 1
-    # for N = 1 (whole fine paths), NaN from a dump, which does not store them
+    # sampler did not refine, and the share of windows it refined; NaN from
+    # a dump, which does not store them
     miss_bound: float = math.nan
     refined_fraction: float = math.nan
 
@@ -90,7 +80,7 @@ class PathEnsemble:
 
     @property
     def method(self):        # perfbench's tracer counts Gaussians from this label
-        return "rejection" if self.N == 1 else "matrix"
+        return "matrix"
 
     @property
     def maxima(self):
@@ -105,33 +95,19 @@ def _rng_for(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _bridges(rng, count, steps):
-    """count independent Brownian bridges on the (steps+1)-point grid."""
-    g = rng.standard_normal((count, steps))
-    w = np.cumsum(g, axis=1) * np.sqrt(1.0 / steps)
-    frac = np.arange(1, steps + 1) / steps
-    b = w - w[:, -1:] * frac[None, :]
-    return np.concatenate([np.zeros((count, 1)), b], axis=1)
-
-
-def _excursion(seed, index, steps):
-    """One Gaussian random-walk excursion: the bridge of Philox stream
-    (seed, index), cycle-shifted to start at its minimum."""
-    bridge = _bridges(_rng_for(seed, index), 1, steps)[0]
-    m = int(np.argmin(bridge[:-1]))
-    return np.concatenate([bridge[m:-1], bridge[:m + 1]]) - bridge[m]
-
-
 def _top_eigenpath(a, dim):
-    """Top positive eigenvalue path of the dim x dim (dim = 5, 7)
+    """Top positive eigenvalue path of the dim x dim (dim = 3, 5, 7)
     antisymmetric bridge matrix whose upper triangle a holds row by row.
 
-    mu = lam^2 solves sum_k (-1)^k e_k mu^{n-k} = 0, n = (dim - 1) / 2, where
-    e_k sums the squared Pfaffians of the 2k x 2k principal blocks.  Each is
-    expanded along its first row into Pfaffians two sizes smaller, computed
-    once.  The roots are the quadratic (dim 5) and trigonometric cubic
-    (dim 7) formulas.
+    For dim 3 it is the norm of the three entries (0 at the pinned ends).
+    Otherwise mu = lam^2 solves sum_k (-1)^k e_k mu^{n-k} = 0, n = (dim -
+    1) / 2, where e_k sums the squared Pfaffians of the 2k x 2k principal
+    blocks.  Each is expanded along its first row into Pfaffians two sizes
+    smaller, computed once.  The roots are the quadratic (dim 5) and
+    trigonometric cubic (dim 7) formulas.
     """
+    if dim == 3:
+        return np.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
     pf = dict(zip(combinations(range(dim), 2), a))
     e = []
     for size in range(2, dim, 2):
@@ -294,9 +270,8 @@ def sample_ensemble(N, steps, n_samples, seed):
     """Draw n_samples (M, tau_M) pairs of the top path on the grid of steps
     fine steps; see the module docstring.
 
-    N = 1 uses the cycle shift, one fine path per draw, with the streams
-    and samples it always had (the module docstring says why).  N = 2, 3
-    use the matrix realization coarse to fine, in blocks of draws of about
+    Every N uses the matrix realization of dimension 2N + 1, with E =
+    N (2N + 1) entries, coarse to fine, in blocks of draws of about
     BLOCK_ELEMENTS coarse entries:
 
     - Coarse pass: every entry at C + 1 coarse points (_coarse_edges),
@@ -306,11 +281,11 @@ def sample_ensemble(N, steps, n_samples, seed):
       T its duration.  Its interior can pass the coarse maximum only if
       the E bridge deviations reach gap^2 in squared norm; by a martingale
       bound (_window_log_bound) an unrefined window does so with
-      probability at most WINDOW_MISS.  y* is 21.7 for N = 2 (E = 10) and
-      27.8 for N = 3 (E = 21); a Chernoff bound on the sum of the E
-      entries' squared suprema, (2 sqrt 2)^E exp(-y), would need 38.0 and
-      49.5: 92 refined windows of 693 per N = 2 draw at 8,000 steps,
-      against 60.
+      probability at most WINDOW_MISS.  y* is 16.9 for N = 1 (E = 3),
+      21.7 for N = 2 (E = 10) and 27.8 for N = 3 (E = 21); a Chernoff
+      bound on the sum of the E entries' squared suprema, (2 sqrt 2)^E
+      exp(-y), would need 30.8, 38.0 and 49.5: 92 refined windows of 693
+      per N = 2 draw at 8,000 steps, against 60.
     - Refinement: each selected window is filled with Gaussian random-walk
       bridges between its end entries, which is the fine-grid law given the
       coarse points, and (M, tau_M) is the max and first argmax over the
@@ -323,7 +298,7 @@ def sample_ensemble(N, steps, n_samples, seed):
     on which other draws share its block.  The ensemble's miss_bound sums
     the bounds of every unrefined window of every draw (about 1.2e-12 per
     N = 2 draw at 8,000 steps), and refined_fraction is the share of
-    windows refined; N = 1 reports 0 and 1.
+    windows refined.
 
     Any other N, steps < 2000, n_samples < 1 and a seed outside [0, 2^64)
     raise DomainError at entry.
@@ -335,27 +310,19 @@ def sample_ensemble(N, steps, n_samples, seed):
         raise DomainError("n_samples >= 1 required")
     if not 0 <= seed < 2 ** 64:
         raise DomainError(f"seed {seed} outside [0, 2^64)")
-    if N == 1:
-        samples = np.empty((n_samples, 2))
-        for i in range(n_samples):
-            path = _excursion(seed, i, steps)
-            j = int(np.argmax(path))
-            samples[i] = path[j], j / steps
-        refined, miss = 1.0, 0.0
-    else:
-        dim = 2 * N + 1
-        E = dim * (dim - 1) // 2
-        edges = _coarse_edges(steps)
-        block = max(1, BLOCK_ELEMENTS // (E * len(edges)))
-        parts, n_refined, miss = [], 0, 0.0
-        for start in range(0, n_samples, block):
-            rngs = [_rng_for(seed, i) for i in range(start, min(start + block, n_samples))]
-            part, count, part_miss = _matrix_samples(dim, edges, rngs)
-            parts.append(part)
-            n_refined += count
-            miss += part_miss
-        samples = np.concatenate(parts)
-        refined = n_refined / (n_samples * (len(edges) - 1))
+    dim = 2 * N + 1
+    E = dim * (dim - 1) // 2
+    edges = _coarse_edges(steps)
+    block = max(1, BLOCK_ELEMENTS // (E * len(edges)))
+    parts, n_refined, miss = [], 0, 0.0
+    for start in range(0, n_samples, block):
+        rngs = [_rng_for(seed, i) for i in range(start, min(start + block, n_samples))]
+        part, count, part_miss = _matrix_samples(dim, edges, rngs)
+        parts.append(part)
+        n_refined += count
+        miss += part_miss
+    samples = np.concatenate(parts)
+    refined = n_refined / (n_samples * (len(edges) - 1))
     bad = np.count_nonzero(~np.all(np.isfinite(samples), axis=1))
     if bad:
         raise PrecisionError(f"{bad} of {n_samples} samples are not finite")

@@ -396,19 +396,29 @@ def transport_profile_sequential(w_values, sol, s_lo=-10.5, s_hi=12.0, step=0.00
                     f_ss=out_fss[::-1].copy())
 
 
+def bridges(rng, count, steps):
+    """count independent Brownian bridges on the (steps+1)-point grid, from
+    steps normals each of the generator rng."""
+    g = rng.standard_normal((count, steps))
+    w = np.cumsum(g, axis=1) * np.sqrt(1.0 / steps)
+    frac = np.arange(1, steps + 1) / steps
+    b = w - w[:, -1:] * frac[None, :]
+    return np.concatenate([np.zeros((count, 1)), b], axis=1)
+
+
 def matrix_samples_full_path(N, steps, n_samples, seed):
-    """(M, tau_M) of the N = 2, 3 matrix realization from the whole fine
+    """(M, tau_M) of the N = 1, 2, 3 matrix realization from the whole fine
     path of every draw: all E = dim (dim - 1)/2 entries as bridges of steps
     normals from Philox stream (seed, i), the top eigenvalue at every grid
     time, and its max and first argmax.  This is the sampler
-    airymax.mc.sample_ensemble ran before it went coarse to fine; its
-    streams differ, its law is the same."""
+    airymax.mc.sample_ensemble ran for N = 2, 3 before it went coarse to
+    fine; its streams differ, its law is the same."""
     from airymax import mc
 
     dim = 2 * N + 1
     samples = np.empty((n_samples, 2))
     for i in range(n_samples):
-        a = mc._bridges(mc._rng_for(seed, i), dim * (dim - 1) // 2, steps)
+        a = bridges(mc._rng_for(seed, i), dim * (dim - 1) // 2, steps)
         path = mc._top_eigenpath(a, dim)
         j = int(np.argmax(path))
         samples[i] = path[j], j / steps

@@ -85,7 +85,7 @@ def test_transport_matches_sequential(sol):
     # amplifies it (the loop's own step-halving change is ~1e-11 at s = -5,
     # ~2e-7 at -10.5).
     # Measured: f 5.3e-12 / 2.2e-7, f_s 3.0e-11 / 1.8e-6, f_ss 9.0e-11 / 7.6e-6.
-    w_pos = np.round(np.arange(0.0, 6.05, 0.1), 12)   # build_joint_density_grid's 121 columns
+    w_pos = airy2.w_points(6.0, 0.1)                  # build_joint_density_grid's 121 columns
     w = np.concatenate([w_pos, -w_pos[1:]])
     new = airy2.transport_profile(w, sol, s_lo=-10.5)
     ref = transport_profile_sequential(w, sol, s_lo=-10.5)
@@ -107,7 +107,7 @@ def test_transport_columns_independent(sol):
             assert np.array_equal(getattr(alone, name)[:, 0], getattr(many, name)[:, j])
     # full depth with 1, 2, 85 and 121 columns: each column is bitwise the
     # same in every call, so no chunking may follow the column count
-    w_pos = np.round(np.arange(0.0, 6.05, 0.1), 12)   # build_joint_density_grid's 121 columns
+    w_pos = airy2.w_points(6.0, 0.1)                  # build_joint_density_grid's 121 columns
     w = np.concatenate([w_pos, -w_pos[1:]])
     full = airy2.transport_profile(w, sol, s_lo=-10.5)
     marginal = np.r_[0:43, 61:103]                     # cmd_marginal's 85: |w| <= 4.2
@@ -256,6 +256,17 @@ def _record_sweeps(monkeypatch):
 
     monkeypatch.setattr(airy2, "_Sweep", Logged)
     return sweeps
+
+
+@pytest.mark.parametrize("w_max, w_step, n", [
+    (6.0, 0.07, 86), (3.0, 0.1, 31), (2.0 / 3.0, 1.0 / 3.0, 3), (0.0, 0.1, 1),
+])
+def test_w_points_never_pass_w_max(w_max, w_step, n):
+    # the half-step slack of np.arange(0, w_max + w_step / 2, w_step) put a
+    # last point at 6.02 for (6, 0.07); 2/3 rounded to 12 digits is above 2/3
+    w = airy2.w_points(w_max, w_step)
+    assert len(w) == n and w[-1] <= w_max
+    assert np.array_equal(w[:-1], np.round(np.arange(n - 1) * w_step, 12))
 
 
 def test_one_transport_per_density_call(sol, monkeypatch):

@@ -72,12 +72,13 @@ def test_w_max_above_the_cap_refused_at_entry(tmp_path, monkeypatch, command, w_
 
 
 @pytest.mark.parametrize("argv", [
-    ["jpdf", "--s-step", "0"], ["jpdf", "--w-step", "0"],
+    ["jpdf", "--s-step", "0"], ["jpdf", "--w-step", "0"], ["jpdf", "--w-step", "inf"],
     ["jpdf", "--s-min", "5", "--s-max", "-5"], ["jpdf", "--s-min", "20", "--s-max", "30"],
     ["marginal", "--w-step", "0"], ["finite-n", "--m-step", "0"],
     ["ldev", "--c-step", "0"], ["ldev", "--u-step", "-1"],
 ])
 def test_grid_arguments_checked_at_entry(tmp_path, argv):
+    # jpdf --w-step inf exited 2 with numpy's "arange: cannot compute length"
     out = tmp_path / "out.csv"
     assert main([*argv, "-o", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
@@ -126,11 +127,12 @@ def test_mc_subcommand(tmp_path):
 
 
 def test_mc_reports_refined_windows_and_miss_bound(tmp_path, capsys):
-    assert main(["mc", "-N", "2", "--steps", "2000", "--samples", "50",
-                 "-o", str(tmp_path / "mc.csv")]) == 0
-    fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
-    assert 0.0 < float(fields["refined"]) < 1.0
-    assert 0.0 < float(fields["miss_bound"]) <= 5e-8
+    for N in ("1", "2"):
+        assert main(["mc", "-N", N, "--steps", "2000", "--samples", "50",
+                     "-o", str(tmp_path / "mc.csv")]) == 0
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
+        assert 0.0 < float(fields["refined"]) < 1.0
+        assert 0.0 < float(fields["miss_bound"]) <= 5e-8
 
 
 def test_mc_refuses_four_walkers(tmp_path):
@@ -374,6 +376,18 @@ def test_marginal_transports_no_column_beyond_its_reads(tmp_path, monkeypatch):
         widest.clear()
         assert main([*argv, "-o", str(tmp_path / "m.csv")]) == 0
         assert max(widest) == w_top, argv
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["marginal"], 0), (["jpdf", "--s-min", "-1", "--s-max", "1", "--s-step", "0.5"], 1),
+], ids=["marginal", "jpdf"])
+def test_w_grid_stops_at_w_max(tmp_path, argv, column):
+    # w = 0, 0.07, ... 5.95: the next point, 6.02, passes --w-max and the
+    # cap, and both commands exited 1 on it
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--w-max", "6", "--w-step", "0.07", "-o", str(out)]) == 0
+    w = np.loadtxt(out, delimiter=",", skiprows=1)[:, column]
+    assert np.array_equal(np.unique(np.abs(w)), np.round(0.07 * np.arange(86), 12))
 
 
 def test_jpdf_rows_in_grid_order(tmp_path):

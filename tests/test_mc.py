@@ -6,7 +6,7 @@ import pytest
 from airymax import finite_n, mc
 from airymax.errors import DomainError, PrecisionError, StatisticsError
 
-from _oracles import matrix_samples_full_path
+from _oracles import bridges, matrix_samples_full_path
 
 
 def _dkw(n, alpha=1e-6):
@@ -21,13 +21,14 @@ def _ks_two_sample(x, y):
     return float(np.max(np.abs(fx - fy)))
 
 
-def _completed_paths(steps, n, seed, fill_seed):
-    """(M, tau_M) of the whole fine path of draws 0..n-1 of the N = 2
+def _completed_paths(N, steps, n, seed, fill_seed):
+    """(M, tau_M) of the whole fine path of draws 0..n-1 of the N-walker
     sampler: its coarse points and refined windows as sample_ensemble draws
     them from stream (seed, i), and every window it did not refine filled
     from the independent stream (fill_seed, i).  Also returns how many
     maxima fell inside a refined window rather than on a coarse point."""
-    dim, E = 5, 10
+    dim = 2 * N + 1
+    E = dim * (dim - 1) // 2
     edges = mc._coarse_edges(steps)
     lengths = np.diff(edges)
     C, width = len(lengths), int(lengths.max())
@@ -52,13 +53,14 @@ def _completed_paths(steps, n, seed, fill_seed):
     return out, interior
 
 
-@pytest.mark.parametrize("steps", [2000, 8000])
-def test_coarse_to_fine_misses_no_maximum(steps):
+@pytest.mark.parametrize("N, steps", [(2, 2000), (2, 8000), (1, 10000)],
+                         ids=["2000", "8000", "N1-10000"])
+def test_coarse_to_fine_misses_no_maximum(N, steps):
     # the unrefined windows, filled from another stream, never hold the
     # maximum: the sampler's (M, tau) is that of the completed fine path
     n = 1000
-    ens = mc.sample_ensemble(2, steps, n, seed=61)
-    full, interior = _completed_paths(steps, n, seed=61, fill_seed=62)
+    ens = mc.sample_ensemble(N, steps, n, seed=61)
+    full, interior = _completed_paths(N, steps, n, seed=61, fill_seed=62)
     assert np.array_equal(ens.samples, full)
     assert interior >= n // 2        # the refined windows decide most draws
     assert 0.0 < ens.miss_bound <= 1e-9 * n
@@ -70,7 +72,7 @@ def test_prime_steps():
     steps = 2003
     assert set(np.diff(mc._coarse_edges(steps))) == {5, 6}
     ens = mc.sample_ensemble(2, steps, 200, seed=63)
-    full, _ = _completed_paths(steps, 200, seed=63, fill_seed=64)
+    full, _ = _completed_paths(2, steps, 200, seed=63, fill_seed=64)
     assert np.array_equal(ens.samples, full)
 
 
@@ -78,31 +80,37 @@ def test_coarse_to_fine_matches_full_path_oracle():
     # two-sample KS against the whole-path sampler: each empirical CDF is
     # within its DKW bound at alpha = 1e-6 of the common law
     n = 3000
-    new = mc.sample_ensemble(2, 2000, n, seed=65).samples
-    old = matrix_samples_full_path(2, 2000, n, seed=66)
-    for column in (0, 1):
-        assert _ks_two_sample(new[:, column], old[:, column]) <= 2.0 * _dkw(n)
+    for N in (1, 2):
+        new = mc.sample_ensemble(N, 2000, n, seed=65).samples
+        old = matrix_samples_full_path(N, 2000, n, seed=66)
+        for column in (0, 1):
+            assert _ks_two_sample(new[:, column], old[:, column]) <= 2.0 * _dkw(n)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_samples_do_not_depend_on_blocks(monkeypatch, offset):
-    # block - 1, block and block + 1 draws against a run of one draw per block
+    # block - 1, block and block + 1 draws against a run of one draw per
+    # block, for N = 1 (E = 3 entries) and N = 2 (E = 10)
     steps = 2000
-    block = mc.BLOCK_ELEMENTS // (10 * len(mc._coarse_edges(steps)))
-    n = block + offset
-    blocked = mc.sample_ensemble(2, steps, n, seed=67)
-    assert np.array_equal(blocked.samples, mc.sample_ensemble(2, steps, 2 * block + 1, seed=67).samples[:n])
-    monkeypatch.setattr(mc, "BLOCK_ELEMENTS", 1)
-    single = mc.sample_ensemble(2, steps, n, seed=67)
-    assert np.array_equal(blocked.samples, single.samples)
-    assert single.refined_fraction == blocked.refined_fraction
-    assert single.miss_bound == pytest.approx(blocked.miss_bound, rel=1e-12)
+    for N, E in ((1, 3), (2, 10)):
+        block = mc.BLOCK_ELEMENTS // (E * len(mc._coarse_edges(steps)))
+        n = block + offset
+        blocked = mc.sample_ensemble(N, steps, n, seed=67)
+        longer = mc.sample_ensemble(N, steps, 2 * block + 1, seed=67)
+        assert np.array_equal(blocked.samples, longer.samples[:n])
+        with monkeypatch.context() as m:
+            m.setattr(mc, "BLOCK_ELEMENTS", 1)
+            single = mc.sample_ensemble(N, steps, n, seed=67)
+        assert np.array_equal(blocked.samples, single.samples)
+        assert single.refined_fraction == blocked.refined_fraction
+        assert single.miss_bound == pytest.approx(blocked.miss_bound, rel=1e-12)
 
 
 def test_window_rule_reaches_its_bound():
     # y* is where the martingale bound reaches 1e-12, below the Chernoff
     # bound (2 sqrt 2)^E exp(-y) on the sum of the entries' squared suprema
-    for E in (10, 21):
+    # (16.9 against 30.8 at E = 3)
+    for E in (3, 10, 21):
         alpha, y_star = mc._window_rule(E)
         assert mc._window_log_bound(y_star, E, alpha) >= np.log(1e12)
         assert mc._window_log_bound(y_star - 1e-6, E, alpha) < np.log(1e12)
@@ -136,7 +144,7 @@ def test_determinism_and_order_independence():
 
 
 @pytest.mark.parametrize("args, digest", [
-    ((1, 2000, 50, 42), "e9cc0a20654e8f35d6fd59ffcff70932312e67945e5d0e40622dc6b1a89bdfb2"),
+    ((1, 2000, 50, 42), "a3237e34c4ed9834f6273f991f7cf7db328d5bc277931013bfb1d7d6ba8b1630"),
     ((2, 2000, 20, 9), "633f56141650e9bc14d7ed35fc9d2f1f9b70cdb3a239cc5f8c22cfb87de76a2d"),
 ])
 def test_samples_match_frozen_fingerprints(args, digest):
@@ -147,15 +155,8 @@ def test_samples_match_frozen_fingerprints(args, digest):
     assert hashlib.sha256(samples.astype("<f8").tobytes()).hexdigest() == digest
 
 
-def test_excursion_paths_positive_and_pinned():
-    exc = mc._excursion(7, 3, 2000)
-    assert exc.shape == (2001,)
-    assert np.all(exc[1:-1] > 0.0)
-    assert exc[0] == 0.0 and exc[-1] == 0.0
-
-
 def test_matrix_paths_ordered_nonnegative():
-    a = mc._bridges(mc._rng_for(3, 0), 10, 2000)
+    a = bridges(mc._rng_for(3, 0), 10, 2000)
     lam_top = mc._top_eigenpath(a, 5)
     assert np.all(lam_top >= 0.0)
     # top eigenvalue dominates the second root
@@ -163,17 +164,21 @@ def test_matrix_paths_ordered_nonnegative():
     assert np.all(lam_top ** 2 >= alpha / 2.0 - 1e-12)
 
 
-@pytest.mark.parametrize("dim", [5, 7])
+@pytest.mark.parametrize("dim", [3, 5, 7])
 def test_top_eigenpath_against_eigensolve(dim):
-    # the Pfaffian recursion against a batched symmetric eigensolve of A^T A,
-    # at the interior times (the ends are the zero matrix)
-    a = mc._bridges(mc._rng_for(21, dim), dim * (dim - 1) // 2, 2000)
+    # the norm (dim 3) and the Pfaffian recursion against a batched
+    # symmetric eigensolve of A^T A, at the interior times (the ends are the
+    # zero matrix)
+    a = bridges(mc._rng_for(21, dim), dim * (dim - 1) // 2, 2000)
     A = np.zeros((a.shape[1], dim, dim))
     rows, cols = np.triu_indices(dim, 1)
     A[:, rows, cols] = a.T
     A[:, cols, rows] = -a.T
     top = np.sqrt(np.linalg.eigvalsh(np.swapaxes(A, 1, 2) @ A)[:, -1])
-    assert np.max(np.abs(mc._top_eigenpath(a, dim)[1:-1] - top[1:-1])) <= 1e-13
+    path = mc._top_eigenpath(a, dim)
+    assert np.max(np.abs(path[1:-1] - top[1:-1])) <= 1e-13
+    if dim < 7:     # dim 7 divides 0/0 there (test_n3_samples_are_finite)
+        assert path[0] == path[-1] == 0.0
 
 
 def test_dim7_paths_match_frozen_fingerprint():
@@ -182,7 +187,7 @@ def test_dim7_paths_match_frozen_fingerprint():
     digest = hashlib.sha256()
     with np.errstate(invalid="ignore"):
         for i in range(5):
-            path = mc._top_eigenpath(mc._bridges(mc._rng_for(3, i), 21, 2000), 7)
+            path = mc._top_eigenpath(bridges(mc._rng_for(3, i), 21, 2000), 7)
             digest.update(path.astype("<f8").tobytes())
     assert digest.hexdigest() == "ccbad17e0a05ef921479173dabfc602c77cda108452d3011b114dde80e1e1e98"
 
@@ -271,10 +276,17 @@ def test_n3_samples_are_finite():
 
 
 def test_non_finite_samples_raise(monkeypatch):
-    # a NaN path (as every N = 3 path is today) is refused, not returned
-    monkeypatch.setattr(mc, "_excursion",
-                        lambda seed, i, steps: np.full(steps + 1, np.nan if i % 2 else 1.0))
-    with pytest.raises(PrecisionError, match="2 of 4 samples are not finite"):
+    # a top path that is NaN at the zero matrix, as every N = 3 path is
+    # today, is refused, not returned
+    real = mc._top_eigenpath
+
+    def nan_at_zero_matrix(a, dim):
+        lam = real(a, dim)
+        lam[np.all(a == 0.0, axis=0)] = np.nan
+        return lam
+
+    monkeypatch.setattr(mc, "_top_eigenpath", nan_at_zero_matrix)
+    with pytest.raises(PrecisionError, match="4 of 4 samples are not finite"):
         mc.sample_ensemble(1, 2000, 4, seed=1)
 
 
