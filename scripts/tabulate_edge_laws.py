@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate the GOE edge law by both routes and the rescaled endpoint
-density, writing plot-ready CSVs into ./out/."""
+density, writing plot-ready CSVs into ./out/.
+
+The s axis (-6 to 4 by 0.05) and the t axis (0 to 1.8 by 0.05) come from
+special.axis.  They hold the same values as the np.arange constructions
+they replaced, except that s = 0 is written as 0.0, no longer -0.0."""
 
 import os
 
@@ -8,6 +12,7 @@ import numpy as np
 
 from airymax import (airy2, build_joint_density_grid, f1_fredholm,
                      solve_hastings_mcleod, tracy_widom_f1)
+from airymax.special import axis
 
 
 def main():
@@ -15,13 +20,13 @@ def main():
     sol = solve_hastings_mcleod()
     grid = build_joint_density_grid(sol)
 
-    s = np.round(np.arange(-6.0, 4.001, 0.05), 10)
+    s = axis(-6.0, 4.0, 0.05)
     with open("out/tracy_widom_goe.csv", "w") as fh:
         fh.write("s,f1_painleve,f1_fredholm\n")
         for v in s:
             fh.write(f"{v},{tracy_widom_f1(v, sol):.17g},{f1_fredholm(v):.17g}\n")
 
-    t = np.round(np.arange(0.0, 1.8001, 0.05), 10)
+    t = axis(0.0, 1.8, 0.05)
     density = airy2.argmax_marginal(t, sol)
     with open("out/endpoint_marginal.csv", "w") as fh:
         fh.write("t,density\n")

@@ -11,10 +11,11 @@ and 3.75) and 121 (the validation grid).  "cols_<k>_s0.3" are the one- and
 two-column transports of the pointwise queries, down to s = 0.3.
 "grid_<k>" are the default density grids of k columns: w_step 0.25 (jpdf),
 0.1 (validation) and 0.05.  "marginal_48" is marginal_w at the 48 w that
-`airymax marginal` reads at its defaults: its table, 0 to 4 by 0.1, and its
-fit points, 2.5 to 4 by 0.25 (87 distinct +-w columns).  Each "<key>_mb" is
-the peak traced allocation of one call above what was allocated before it,
-in MB (1e6 bytes).
+`airymax marginal` reads at its defaults: its table, w_points(4, 0.1), and
+its fit points, airy2.TAIL_FIT_W (87 distinct +-w columns).  Every w set is
+built by special.axis, bit for bit the w of the np.arange constructions it
+replaced.  Each "<key>_mb" is the peak traced allocation of one call above
+what was allocated before it, in MB (1e6 bytes).
 """
 
 import json
@@ -24,6 +25,7 @@ import tracemalloc
 import numpy as np
 
 from airymax import airy2, solve_hastings_mcleod
+from airymax.special import axis
 
 
 def _pm(w_pos):
@@ -35,13 +37,12 @@ COLUMNS = {
     1: [0.7],
     2: [0.7, -0.7],
     6: _pm([2.75, 3.25, 3.75]),
-    49: _pm(np.arange(0.0, 6.0 + 0.125, 0.25)),
-    85: _pm(np.arange(0.0, 4.25 + 0.05, 0.1)),
-    121: _pm(np.arange(0.0, 6.0 + 0.05, 0.1)),
+    49: _pm(axis(0.0, 6.0, 0.25)),
+    85: _pm(axis(0.0, 4.2, 0.1)),
+    121: _pm(axis(0.0, 6.0, 0.1)),
 }
 GRID_W_STEPS = {49: 0.25, 121: 0.1, 241: 0.05}
-MARGINAL_W = np.concatenate([np.round(np.arange(0.0, 4.0 + 0.05, 0.1), 12),
-                             np.arange(2.5, 4.001, 0.25)])
+MARGINAL_W = np.concatenate([airy2.w_points(4.0, 0.1), airy2.TAIL_FIT_W])
 REPEATS = 7
 
 

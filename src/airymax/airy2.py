@@ -39,14 +39,13 @@ rule.  The states come from a work-efficient two-pass scan (Blelloch,
 The tests keep the step-by-step loop as an oracle.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, MisconfigurationError, RangeError
 from .painleve import tracy_widom_f1
-from .special import airy_both, cumulative_simpson, legendre_nodes, simpson
+from .special import airy_both, axis, cumulative_simpson, legendre_nodes, simpson
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 TWO_43 = 2.0 ** (4.0 / 3.0)
@@ -121,7 +120,8 @@ _CHUNK = 16                 # steps per chunk of the scan
 _SUPER = 8                  # chunks per superchunk; both fixed, so no column depends on the others
 _GROUP_ELEMENTS = 2 ** 15   # column-steps of the superchunks scanned together
 _BLOCK_COLUMNS = 8          # columns transported together for P(s, w)
-_MARGINAL_S = np.round(np.arange(-10.0, 8.0 + 0.05 / 2, 0.05), 12)   # the s grid of marginal_w
+_MARGINAL_S = axis(-10.0, 8.0, 0.05)   # the s grid of marginal_w
+TAIL_FIT_W = axis(2.5, 4.0, 0.25)      # the w of the w^3/12 tail fit of P(w)
 _EYE = ((1.0,), (), (), (), (1.0,), (), (), (), (1.0,))
 
 
@@ -462,18 +462,14 @@ def _density_columns(w_values, sol, s_points):
 
 def _painleve_at(s, w, psi, sol):
     """The Hastings-McLeod solution (sol, or else psi.painleve), after
-    checking (s, w) at entry: s_min + 0.25 <= s <= min(s_max - 2, S_SEED)
-    (F1 needs the first bound, the downward transport from S_SEED the
-    second) and |w| <= W_CAP."""
+    checking (s, w) at entry: s by _check_s_span and |w| <= W_CAP."""
     if sol is None:
         if psi is None:
             raise MisconfigurationError("pass the Hastings-McLeod solution (sol) or a psi grid")
         sol = psi.painleve
     if not abs(w) <= W_CAP:
         raise DomainError(f"|w| <= {W_CAP} required")
-    s_top = min(sol.s_max - 2.0, S_SEED)
-    if not sol.s_min + 0.25 <= s <= s_top:
-        raise RangeError(f"s = {s} outside [{sol.s_min + 0.25}, {s_top}]")
+    _check_s_span(sol, s, s)
     return sol
 
 
@@ -509,31 +505,29 @@ class JointDensityGrid:
 
 
 def _check_s_span(sol, s_lo, s_hi):
-    """RangeError unless s_min + 0.5 <= s_lo and s_hi <= min(s_max - 2, S_SEED)."""
+    """The one s range of P(s, w), for points and grids: RangeError unless
+    s_min + 0.25 <= s_lo and s_hi <= min(s_max - 2, S_SEED) (F1 needs the
+    first bound, the transport down from S_SEED the second; NaN fails)."""
     s_top = min(sol.s_max - 2.0, S_SEED)
-    if not (sol.s_min + 0.5 <= s_lo and s_hi <= s_top):
-        raise RangeError(f"s range [{s_lo}, {s_hi}] outside [{sol.s_min + 0.5}, {s_top}]")
+    if not (sol.s_min + 0.25 <= s_lo and s_hi <= s_top):
+        raise RangeError(f"s range [{s_lo}, {s_hi}] outside [{sol.s_min + 0.25}, {s_top}]")
 
 
 def w_points(w_max, w_step):
-    """0, w_step, 2 w_step, ... rounded to 12 digits, up to w_max and never
-    past it (a point within 1e-12 relative of w_max is w_max); DomainError
-    unless w_step is finite and positive and 0 <= w_max <= W_CAP."""
-    if not (0.0 < w_step < math.inf and 0.0 <= w_max <= W_CAP):
-        raise DomainError(f"need finite w_step > 0 and 0 <= w_max <= {W_CAP}")
-    n = math.floor(w_max / w_step * (1.0 + 1e-12)) + 1
-    return np.minimum(np.round(np.arange(n) * w_step, 12), w_max)
+    """axis(0, w_max, w_step); DomainError unless 0 <= w_max <= W_CAP."""
+    if not 0.0 <= w_max <= W_CAP:
+        raise DomainError(f"need 0 <= w_max <= {W_CAP}")
+    return axis(0.0, w_max, w_step)
 
 
 def build_joint_density_grid(sol, s_lo=-10.0, s_hi=8.0, s_step=0.05,
                              w_max=6.0, w_step=0.1):
-    """Tabulate P(s, w) on a product grid; w covers [-w_max, w_max] by
-    w_points."""
+    """Tabulate P(s, w) on a product grid: s is axis(s_lo, s_hi, s_step),
+    and [s_lo, s_hi] is checked by _check_s_span, so no s outside the range
+    of joint_pdf is written; w covers [-w_max, w_max] by w_points."""
     w_pos = w_points(w_max, w_step)
-    if not (s_step > 0.0 and s_lo < s_hi):
-        raise DomainError("need s_step > 0 and s_lo < s_hi")
+    s_grid = axis(s_lo, s_hi, s_step)
     _check_s_span(sol, s_lo, s_hi)
-    s_grid = np.round(np.arange(s_lo, s_hi + s_step / 2, s_step), 12)
     w_grid = np.concatenate([-w_pos[:0:-1], w_pos])
     half = _density_columns(w_pos, sol, s_grid)
     values = np.concatenate([half[:, :0:-1], half], axis=1)

@@ -17,6 +17,7 @@ from . import airy2, fredholm, mc
 from .errors import DomainError
 from .finite_n import check_table_domain, edge_law_convergence, large_deviation_eval, law_table
 from .painleve import export_table, solve_hastings_mcleod
+from .special import axis
 
 SCHEMA_VERSION = 1
 
@@ -54,11 +55,7 @@ def write_json(path, payload, columns):
 
 
 def cmd_tw_f1(args):
-    if not all(map(math.isfinite, (args.s_min, args.s_max, args.step))):
-        raise DomainError("--s-min, --s-max and --step must be finite")
-    if args.s_min >= args.s_max or args.step <= 0:
-        raise DomainError("need s_min < s_max and step > 0")
-    s = np.round(np.arange(args.s_min, args.s_max + args.step / 2, args.step), 12)
+    s = axis(args.s_min, args.s_max, args.step)
     table = export_table(solve_hastings_mcleod(), s)
     fr = np.array([fredholm.f1_fredholm(v) for v in s])
     rows = [(*row, b, abs(row[3] - b)) for row, b in zip(table, fr)]
@@ -91,7 +88,7 @@ def cmd_jpdf(args):
 
 def cmd_marginal(args):
     ws = airy2.w_points(args.w_max, args.w_step)
-    fit = np.arange(2.5, 4.001, 0.25)
+    fit = airy2.TAIL_FIT_W
     pw, pf = np.split(airy2.marginal_w(np.concatenate([ws, fit]), solve_hastings_mcleod()),
                       [len(ws)])
     slope = float(np.polyfit(fit ** 3, -np.log(pf), 1)[0])
@@ -118,18 +115,10 @@ def cmd_airy2(args):
 
 
 def cmd_finite_n(args):
-    m_min, m_max, m_step = args.m_min, args.m_max, args.m_step
-    if not all(map(math.isfinite, (m_min, m_max, m_step))):
-        raise DomainError("--m-min, --m-max and --m-step must be finite")
-    if not (m_step > 0 and m_min <= m_max):
-        raise DomainError("need m_step > 0 and m_min <= m_max")
     N = args.walkers
-    check_table_domain((m_min, m_max), N)
-    n_rows = (m_max + m_step / 2 - m_min) / m_step      # np.arange's length, before its ceil
-    if not n_rows <= FINITE_N_MAX_ROWS:
-        raise DomainError(f"the M grid has {math.ceil(n_rows)} values, above {FINITE_N_MAX_ROWS}")
-    m_grid = np.round(np.arange(m_min, m_max + m_step / 2, m_step), 12)
-    taus = np.round(np.arange(0.1, 0.91, 0.1), 12)
+    check_table_domain((args.m_min, args.m_max), N)
+    m_grid = axis(args.m_min, args.m_max, args.m_step, max_points=FINITE_N_MAX_ROWS)
+    taus = axis(0.1, 0.9, 0.1)
     rows = []
     for M, log_f, dens in zip(m_grid, *law_table(m_grid, N, taus)):
         rows.extend((M, tau, d, math.exp(log_f)) for tau, d in zip(taus, dens))
@@ -146,11 +135,10 @@ def cmd_finite_n(args):
 
 
 def cmd_ldev(args):
-    if not (args.c_step > 0 and args.u_step > 0):
-        raise DomainError("need c_step > 0 and u_step > 0")
+    cs, us = axis(0.1, 1.0, args.c_step), axis(-0.4, 0.4, args.u_step)
     rows = []
-    for c in np.round(np.arange(0.1, 1.001, args.c_step), 12):
-        for u in np.round(np.arange(-0.4, 0.4001, args.u_step), 12):
+    for c in cs:
+        for u in us:
             p = large_deviation_eval(c, u, args.M)
             rows.append((c, u, p.y_star, p.phi_star, p.phi_pp, p.varphi,
                          p.log_jpdf_estimate))

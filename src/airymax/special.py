@@ -22,12 +22,14 @@ result below the smallest normal double (2.2e-308, past x ~ 104) is returned
 as exactly 0, and from x = 110 on both are 0 without evaluating the series,
 so no intermediate overflows.  Non-finite x and x < -2**20 raise DomainError.
 
+axis is the one builder of a tabulated axis from a (lo, hi, step) triple.
 simpson and cumulative_simpson are numpy ports of the scipy.integrate
 functions of the same names for strictly increasing sample points; they
 give the same floating-point results.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +45,7 @@ _TINY = np.finfo(float).tiny
 _SQRT_HALF = np.sqrt(0.5)
 _TAYLOR_TERMS = 16
 _NODE_AI, _NODE_AIP = np.array(_NODES.AI), np.array(_NODES.AI_PRIME)
+AXIS_MAX_POINTS = 2 ** 24
 
 
 def _asymptotic_coefficients(n):
@@ -159,6 +162,21 @@ def airy_ai_prime(x):
 def airy_both(x):
     """(Ai(x), Ai'(x)) with one evaluation pass."""
     return _airy_pair(x)
+
+
+def axis(lo, hi, step, max_points=AXIS_MAX_POINTS):
+    """lo + k step, k = 0, 1, ..., rounded to 12 digits, up to hi and never
+    past it: a point within 1e-12 relative of hi is hi, and -0 is 0.
+    DomainError, before anything is allocated, unless lo, hi and step are
+    finite, step > 0, lo <= hi and the axis has at most max_points points."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError(f"axis bounds and step must be finite, got ({lo}, {hi}, {step})")
+    if not (step > 0.0 and lo <= hi):
+        raise DomainError(f"an axis needs step > 0 and lo <= hi, got ({lo}, {hi}, {step})")
+    count = (hi - lo) / step * (1.0 + 1e-12)
+    if not count < max_points:
+        raise DomainError(f"the axis from {lo} to {hi} by {step} has more than {max_points} points")
+    return np.minimum(np.round(lo + np.arange(math.floor(count) + 1) * step, 12), hi) + 0.0
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from .finite_n import (ScalingCoordinates, build_op_table, double_scaling_check,
                        large_deviation_eval)
 from .lax import default_zeta_rule, f_quadrature, psi_at_s, solve_psi_column
 from .painleve import tracy_widom_f1
-from .special import airy_ai
+from .special import airy_ai, axis
 
 
 @dataclass
@@ -44,7 +44,7 @@ def _timed(fn):
 @_timed
 def criterion_1_dual_route_f1(ctx):
     sol = ctx["sol"]
-    s = np.round(np.arange(-6.0, 4.0001, 0.1), 10)
+    s = axis(-6.0, 4.0, 0.1)             # the default s axis of tw-f1
     pl = tracy_widom_f1(s, sol)
     fr = np.array([fredholm.f1_fredholm(v) for v in s])
     dmax = float(np.max(np.abs(pl - fr)))
@@ -195,11 +195,11 @@ def criterion_6_mfqr(ctx):
 @_timed
 def criterion_7_tails(ctx):
     sol = ctx["sol"]
-    ws = np.arange(2.5, 4.001, 0.25)
+    ws = airy2.TAIL_FIT_W
     pw = airy2.marginal_w(ws, sol)
     coef = np.polyfit(ws ** 3, -np.log(pw), 1)[0]
     ratio_w = coef * 12.0
-    ts = np.arange(1.0, 1.6001, 0.1)
+    ts = np.arange(1.0, 1.6001, 0.1)     # not axis(): its rounding moves t by 4e-16
     pt = airy2.argmax_marginal(ts, sol)
     coef_t = np.polyfit(ts ** 3, -np.log(pt), 1)[0]
     ratio_t = coef_t / (4.0 / 3.0)

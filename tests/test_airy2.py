@@ -269,6 +269,34 @@ def test_w_points_never_pass_w_max(w_max, w_step, n):
     assert np.array_equal(w[:-1], np.round(np.arange(n - 1) * w_step, 12))
 
 
+@pytest.mark.parametrize("lo, hi, step, n", [
+    (-1.0, 1.0, 0.3, 7), (1.0, 1.7, 0.4, 2), (5.0, 5.65, 0.4, 2), (-6.0, 4.0, 0.1, 101),
+    (-0.4, 0.4, 0.1, 9), (-2.0 / 3.0, 0.0, 1.0 / 3.0, 3), (2.5, 2.5, 1.0, 1),
+])
+def test_axis_never_passes_hi(lo, hi, step, n):
+    # np.arange(lo, hi + step / 2, step) ended at 1.1 for (-1, 1, 0.3) and at
+    # 1.8 for (1, 1.7, 0.4), and it put -6 + 60 x 0.09999999999999964 = -0.0
+    # on the tw-f1 axis
+    x = special.axis(lo, hi, step)
+    assert len(x) == n and x[-1] <= hi
+    assert np.array_equal(x[:-1], np.round(lo + np.arange(n - 1) * step, 12))
+    assert not np.any(np.signbit(x[x == 0.0]))
+
+
+def test_density_grid_admits_the_pointwise_s_range(sol, monkeypatch):
+    # a grid demanded s >= s_min + 0.5 and a point s >= s_min + 0.25, so a
+    # grid from -11.7 was refused while joint_pdf(-11.7, 0.5) was 1.7e-33
+    s_lo = sol.s_min + 0.25
+    grid = airy2.build_joint_density_grid(sol, s_lo=s_lo, s_hi=-11.0, s_step=0.25,
+                                          w_max=1.0, w_step=0.5)
+    assert grid.s_grid[0] == s_lo
+    for j, w in enumerate(grid.w_grid):
+        assert grid.values[0, j] == airy2.joint_pdf(s_lo, w, sol=sol), w
+    monkeypatch.setattr(airy2, "_Sweep", None)
+    with pytest.raises(RangeError):
+        airy2.build_joint_density_grid(sol, s_lo=-11.9, s_hi=-11.0)
+
+
 def test_one_transport_per_density_call(sol, monkeypatch):
     # one step build per call; every +-w column transported once, in blocks
     # of at most _BLOCK_COLUMNS that keep -w beside w

@@ -76,9 +76,13 @@ def test_w_max_above_the_cap_refused_at_entry(tmp_path, monkeypatch, command, w_
     ["jpdf", "--s-min", "5", "--s-max", "-5"], ["jpdf", "--s-min", "20", "--s-max", "30"],
     ["marginal", "--w-step", "0"], ["finite-n", "--m-step", "0"],
     ["ldev", "--c-step", "0"], ["ldev", "--u-step", "-1"],
+    ["tw-f1", "--step", "1e-300"], ["jpdf", "--s-step", "1e-300"], ["jpdf", "--s-step", "inf"],
+    ["ldev", "--c-step", "1e-300"], ["ldev", "--u-step", "inf"],
 ])
 def test_grid_arguments_checked_at_entry(tmp_path, argv):
-    # jpdf --w-step inf exited 2 with numpy's "arange: cannot compute length"
+    # jpdf --w-step inf and --s-step inf exited 2 with numpy's "arange: cannot
+    # compute length", a 1e-300 step with "Maximum allowed size exceeded", and
+    # ldev --u-step inf wrote one u
     out = tmp_path / "out.csv"
     assert main([*argv, "-o", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
@@ -262,6 +266,17 @@ def test_finite_n_builds_one_table_per_m(tmp_path, monkeypatch):
 _TABLE_DIGESTS = {2: "0aba3e4a86db04299349e88a4f178aeab5a30257da86d87034e154bebe175200",
                   3: "e47d1fd82d9d8aa48039edb499a1f7ac7a4ee3187755241f62792876a42a7595"}
 _CONVERGENCE_DIGEST = "c54038d2454cd930643d8e3d4deac84800207f3aa4aff28b842375b5a1f0b5bb"
+_EDGE_DIGESTS = {"jpdf": "955eaabf3b376bcfe675389575c95cea51c5a2b1e4c8fa0e813895e6c71a7df5",
+                 "marginal": "071baa115fae49cec730f298dfa734174e9775086b68d89a224b5f395a111896"}
+
+
+@pytest.mark.parametrize("command", sorted(_EDGE_DIGESTS))
+def test_edge_csvs_match_frozen_digests(tmp_path, command):
+    # sha256 of the default CSV; any change to the transport, the P(s, w)
+    # assembly, the marginal's s sums, the axes or the CSV format shows here
+    out = tmp_path / "t.csv"
+    assert main([command, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _EDGE_DIGESTS[command]
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -388,6 +403,31 @@ def test_w_grid_stops_at_w_max(tmp_path, argv, column):
     assert main([*argv, "--w-max", "6", "--w-step", "0.07", "-o", str(out)]) == 0
     w = np.loadtxt(out, delimiter=",", skiprows=1)[:, column]
     assert np.array_equal(np.unique(np.abs(w)), np.round(0.07 * np.arange(86), 12))
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["tw-f1", "--s-min", "-1", "--s-max", "1", "--step", "0.3"], 0.8),
+    (["jpdf", "--s-min", "-1", "--s-max", "1", "--s-step", "0.3", "--w-max", "1"], 0.8),
+    (["finite-n", "-N", "1", "--m-min", "1", "--m-max", "1.7", "--m-step", "0.4"], 1.4),
+    (["finite-n", "-N", "1", "--m-min", "5", "--m-max", "5.65", "--m-step", "0.4"], 5.4),
+], ids=["tw-f1", "jpdf", "finite-n", "finite-n-top"])
+def test_first_column_stops_at_its_max(tmp_path, argv, last):
+    # np.arange(lo, hi + step / 2, step) wrote s = 1.1 and M = 1.8; M = 5.8
+    # passed both --m-max 5.65 and 4 sqrt(2) = 5.66, and finite-n exited 1
+    out = tmp_path / "t.csv"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert np.max(np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]) == last
+
+
+def test_default_coordinates_have_no_negative_zero(tmp_path):
+    # np.arange put a point a hair below 0 (-6 + 60 x 0.09999999999999964 for
+    # tw-f1), which rounds to -0.0: tw-f1 wrote s = -0 once, ldev u = -0 10 times
+    for argv, n_coords in ((["tw-f1"], 1), (["ldev"], 2)):
+        out = tmp_path / "t.csv"
+        assert main([*argv, "-o", str(out)]) == 0
+        with open(out) as fh:
+            coords = [v for row in list(csv.reader(fh))[1:] for v in row[:n_coords]]
+        assert "-0" not in coords and "0" in coords, argv
 
 
 def test_jpdf_rows_in_grid_order(tmp_path):

@@ -189,6 +189,24 @@ def test_airy_zero_from_110_without_the_series(x, monkeypatch):
         assert not np.any(np.signbit(ai)) and not np.any(np.signbit(aip))
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, 0.0),
+    (0.0, 1.0, -0.1), (1.0, 0.0, 0.1), (0.0, 1.0, 1e-300), (0.0, 1.0, 5e-324),
+    (-1e308, 1e308, 1.0),
+])
+def test_axis_refuses_at_entry(lo, hi, step):
+    with pytest.raises(DomainError):
+        special.axis(lo, hi, step)
+
+
+def test_axis_point_ceiling():
+    assert len(special.axis(0.0, 4095.0, 1.0, max_points=4096)) == 4096
+    with pytest.raises(DomainError):
+        special.axis(0.0, 4096.0, 1.0, max_points=4096)
+    with pytest.raises(DomainError):            # 2^24 + 1 points, refused unallocated
+        special.axis(0.0, 1.0, 2.0 ** -24)
+
+
 def test_quadrature_rule_invariants():
     rule = special.gauss_legendre_rule(-1.5, 2.5, 40)
     assert rule.weights @ np.ones_like(rule.nodes) == pytest.approx(4.0, rel=1e-13)
